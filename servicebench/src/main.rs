@@ -753,6 +753,17 @@ fn traced_service(args: &Args) -> Result<RunReport, String> {
             samples: job_samples(&job),
         });
     }
+    // With a query load, more jobs give the ledger's latencies samples; the
+    // first job is the one replayed.
+    let mut jobs = vec![&job];
+    let mut more = Vec::new();
+    while w.load.is_some() && started.elapsed().as_secs_f64() < args.seconds * 0.5 {
+        let extra = w.run(args, args.seed);
+        if check_service_job(&extra, &expected, w.count as u64, &mut tally) {
+            more.push(extra);
+        }
+    }
+    jobs.extend(&more);
     let cuts = served_cuts(&job);
     let mut values: Vec<(&'static str, f64)> = Vec::new();
     let (overheads, tracer) = replay_pairs(
@@ -771,17 +782,18 @@ fn traced_service(args: &Args) -> Result<RunReport, String> {
         },
     )?;
     values.push(("trace.overhead_ratio", median(&overheads)));
-    values.extend(ledger_query_values(&job.queries));
-    if let Some(plane) = job.plane {
-        values.push((
-            "query.cache_hit_ratio",
-            ratio(
-                plane.cache_hits as f64,
-                (plane.cache_hits + plane.cache_misses) as f64,
-            ),
-        ));
-        values.push(("query.served", plane.served as f64));
-        values.push(("query.rejected", plane.rejected as f64));
+    let queries: Vec<service::QueryRecord> = jobs
+        .iter()
+        .flat_map(|j| j.queries.iter().cloned())
+        .collect();
+    values.extend(ledger_query_values(&queries));
+    let planes: Vec<service::PlaneSummary> = jobs.iter().filter_map(|j| j.plane).collect();
+    if !planes.is_empty() {
+        let sum = |f: fn(&service::PlaneSummary) -> u64| planes.iter().map(f).sum::<u64>() as f64;
+        let (hits, misses) = (sum(|p| p.cache_hits), sum(|p| p.cache_misses));
+        values.push(("query.cache_hit_ratio", ratio(hits, hits + misses)));
+        values.push(("query.served", sum(|p| p.served)));
+        values.push(("query.rejected", sum(|p| p.rejected)));
     }
     write_spans(args, &tracer);
     Ok(RunReport {
@@ -790,7 +802,10 @@ fn traced_service(args: &Args) -> Result<RunReport, String> {
         tally,
         samples: Json::obj([
             ("expected", Json::Str(expected)),
-            ("job", job_samples(&job)),
+            (
+                "jobs",
+                Json::Arr(jobs.iter().map(|j| job_samples(j)).collect()),
+            ),
             ("trace_overhead_ratios", Json::nums(&overheads)),
         ]),
     })
