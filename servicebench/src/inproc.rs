@@ -8,10 +8,10 @@
 //! `key=value` line; the parent checks it against an in-process replay.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tps_core::lp::TrulyPerfectLpSampler;
 use tps_core::sharded::{
@@ -245,23 +245,49 @@ fn parse_outcome(line: &str) -> Result<InprocOutcome, String> {
     Ok(o)
 }
 
+/// A child job taking longer than this is killed and counted as failed.
+const JOB_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Runs one job in a child process of this executable.
 pub fn run_job(plan: InprocPlan, snap_dir: &Path) -> Result<InprocOutcome, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let output = Command::new(exe)
+    let mut child = Command::new(exe)
         .arg("inproc-job")
         .args(plan.to_args())
         .arg("--snap-dir")
         .arg(snap_dir)
         .stdin(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
-        .output()
+        .spawn()
         .map_err(|e| format!("cannot spawn inproc job: {e}"))?;
-    let result = (|| {
-        if !output.status.success() {
-            return Err(format!("inproc job exited with {}", output.status));
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        stdout.read_to_string(&mut text).map(|_| text)
+    });
+    let deadline = Instant::now() + JOB_TIMEOUT;
+    let status = loop {
+        match child.try_wait() {
+            Ok(Some(status)) => break Ok(status),
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Ok(None) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                break Err(format!("inproc job exceeded {}s", JOB_TIMEOUT.as_secs()));
+            }
+            Err(e) => break Err(format!("wait: {e}")),
         }
-        let stdout = String::from_utf8_lossy(&output.stdout);
+    };
+    let stdout = reader
+        .join()
+        .map_err(|_| "stdout reader panicked".to_string());
+    let result = (|| {
+        let status = status?;
+        if !status.success() {
+            return Err(format!("inproc job exited with {status}"));
+        }
+        let stdout = stdout?.map_err(|e| format!("reading inproc job output: {e}"))?;
         let line = stdout.lines().last().ok_or("inproc job printed nothing")?;
         let mut outcome = parse_outcome(line)?;
         for shard in 0..SHARDS {
