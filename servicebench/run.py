@@ -13,7 +13,8 @@ standard error, writes the full result with provenance and raw per-job
 samples to `servicebench/out/results/`, spans of a traced run to
 `servicebench/out/spans/`, and prints one JSON object as the last line of
 standard output. The exit code is nonzero when the build fails, the
-sources are missing, or any output fails its correctness check.
+sources are missing, any output fails its correctness check, or no job
+completes.
 """
 
 import argparse
@@ -36,9 +37,11 @@ def fail(message):
     sys.exit(2)
 
 
-def command_output(cmd):
+def command_output(cmd, env=None):
     try:
-        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=30)
+        done = subprocess.run(
+            cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=30
+        )
     except (OSError, subprocess.TimeoutExpired):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
@@ -88,7 +91,10 @@ def main():
     cargo_build(["--manifest-path", os.path.join(HERE, "Cargo.toml")], target_dir)
 
     rustc = command_output(["rustc", "--version"]) or "unknown"
-    commit = command_output(["git", "rev-parse", "HEAD"]) or "unknown (not a git checkout)"
+    # The ceiling keeps git from taking the commit of a repository that
+    # merely contains this checkout.
+    git_env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))
+    commit = command_output(["git", "rev-parse", "HEAD"], git_env) or "unknown (not a git checkout)"
     harness = [
         os.path.join(target_dir, "release", "servicebench"),
         "--workload", args.workload,

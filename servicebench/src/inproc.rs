@@ -246,7 +246,7 @@ fn parse_outcome(line: &str) -> Result<InprocOutcome, String> {
 }
 
 /// A child job taking longer than this is killed and counted as failed.
-const JOB_TIMEOUT: Duration = Duration::from_secs(60);
+const JOB_TIMEOUT: Duration = Duration::from_secs(45);
 
 /// Runs one job in a child process of this executable.
 pub fn run_job(plan: InprocPlan, snap_dir: &Path) -> Result<InprocOutcome, String> {

@@ -201,6 +201,9 @@ struct RunReport {
     extra: Vec<Metric>,
     tally: Tally,
     samples: Json,
+    /// Whether any job or replay yielded measurements; without one the
+    /// metrics are placeholders and the run fails.
+    measured: bool,
 }
 
 // ---------------------------------------------------------------- service
@@ -490,6 +493,7 @@ fn untraced_service(args: &Args) -> Result<RunReport, String> {
         extra,
         tally,
         samples,
+        measured: !good.is_empty(),
     })
 }
 
@@ -751,6 +755,7 @@ fn traced_service(args: &Args) -> Result<RunReport, String> {
             extra: Vec::new(),
             tally,
             samples: job_samples(&job),
+            measured: false,
         });
     }
     // With a query load, more jobs give the ledger's latencies samples; the
@@ -800,6 +805,7 @@ fn traced_service(args: &Args) -> Result<RunReport, String> {
         metrics: ledger_metrics(&values),
         extra: Vec::new(),
         tally,
+        measured: true,
         samples: Json::obj([
             ("expected", Json::Str(expected)),
             (
@@ -938,6 +944,7 @@ fn untraced_inproc(args: &Args) -> Result<RunReport, String> {
         extra,
         tally,
         samples,
+        measured: !jobs.is_empty(),
     })
 }
 
@@ -964,6 +971,7 @@ fn traced_inproc(args: &Args) -> Result<RunReport, String> {
             extra: Vec::new(),
             tally,
             samples: Json::Arr(Vec::new()),
+            measured: false,
         });
     };
     let mut values: Vec<(&'static str, f64)> = Vec::new();
@@ -1045,6 +1053,7 @@ fn traced_inproc(args: &Args) -> Result<RunReport, String> {
         metrics: ledger_metrics(&values),
         extra: Vec::new(),
         tally,
+        measured: true,
         samples: Json::obj([
             ("job", inproc_samples(&job)),
             ("trace_overhead_ratios", Json::nums(&overheads)),
@@ -1155,11 +1164,14 @@ fn finish(args: &Args, report: RunReport) -> ExitCode {
         ])
         .render()
     );
-    if correct {
-        ExitCode::SUCCESS
-    } else {
+    if !correct {
         eprintln!("servicebench: correctness gate failed");
         ExitCode::from(3)
+    } else if !report.measured {
+        eprintln!("servicebench: no job completed, nothing was measured");
+        ExitCode::from(4)
+    } else {
+        ExitCode::SUCCESS
     }
 }
 

@@ -16,7 +16,7 @@ use tps_service::{QueryClient, QueryError, QueryOptions, QueryReport};
 use crate::sys;
 
 /// A job taking longer than this is killed and counted as failed.
-const JOB_TIMEOUT: Duration = Duration::from_secs(60);
+const JOB_TIMEOUT: Duration = Duration::from_secs(45);
 
 /// How the benchmark decides that set-up is over.
 #[derive(Debug, Clone, Copy)]
@@ -348,7 +348,7 @@ fn run_job_into(
         }
         finished.store(true, Ordering::Release);
         if timed_out {
-            sys::kill_group(pid);
+            let _ = child.kill();
         }
         let status = child.wait().map_err(|e| format!("wait: {e}"));
         out.wall_s = t0.elapsed().as_secs_f64();

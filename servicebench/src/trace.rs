@@ -33,8 +33,6 @@ impl Span {
 /// Per-name totals over a finished trace.
 #[derive(Debug, Clone, Default)]
 pub struct LayerTotals {
-    pub count: u64,
-    pub busy_ns: u64,
     pub self_ns: u64,
     /// Every span duration, for tail percentiles.
     pub durations_ns: Vec<u64>,
@@ -96,7 +94,7 @@ impl Tracer {
         &self.spans
     }
 
-    /// Count, busy time and self time per span name.
+    /// Self time and span durations per span name.
     pub fn totals(&self) -> BTreeMap<&'static str, LayerTotals> {
         let mut child_ns = vec![0u64; self.spans.len()];
         for span in &self.spans {
@@ -107,8 +105,6 @@ impl Tracer {
         let mut totals: BTreeMap<&'static str, LayerTotals> = BTreeMap::new();
         for (span, children) in self.spans.iter().zip(child_ns) {
             let entry = totals.entry(span.name).or_default();
-            entry.count += 1;
-            entry.busy_ns += span.duration_ns();
             entry.self_ns += span.duration_ns().saturating_sub(children);
             entry.durations_ns.push(span.duration_ns());
         }
@@ -155,7 +151,7 @@ mod tests {
         let totals = tracer.totals();
         let outer = &totals["outer"];
         let inner = &totals["inner"];
-        assert_eq!(outer.busy_ns, outer.self_ns + inner.busy_ns);
+        assert_eq!(outer.durations_ns[0], outer.self_ns + inner.durations_ns[0]);
         assert!(inner.self_ns >= 2_000_000);
         assert_eq!(tracer.spans()[1].parent, Some(0));
         assert!(tracer.spans().iter().all(|s| s.chunk == 7));
