@@ -3,12 +3,12 @@
 
 Usage, from the root of a checkout of the repository:
 
-    python3 servicebench/run.py --workload durable-ingest|live-query|inproc-query \
+    python3 servicebench/run.py --workload durable-ingest|live-query|inproc-query|all \
         --seed N --seconds S --trace 0|1
 
 It builds the `tps-service` binary and the `servicebench` harness from
 source (release profile, into $CARGO_TARGET_DIR, default `.bench_build`),
-then runs the harness. The harness prints a human-readable table on
+then runs the harness (once per workload for `all`). The harness prints a human-readable table on
 standard error, writes the full result with provenance and raw per-job
 samples to `servicebench/out/results/`, spans of a traced run to
 `servicebench/out/spans/`, and prints one JSON object as the last line of
@@ -74,7 +74,7 @@ def cargo_build(args, target_dir):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--trace", default="0", choices=("0", "1"))
@@ -95,20 +95,24 @@ def main():
     # merely contains this checkout.
     git_env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))
     commit = command_output(["git", "rev-parse", "HEAD"], git_env) or "unknown (not a git checkout)"
-    harness = [
-        os.path.join(target_dir, "release", "servicebench"),
-        "--workload", args.workload,
-        "--seed", str(args.seed),
-        "--seconds", str(args.seconds),
-        "--trace", args.trace,
-        "--service-bin", os.path.join(target_dir, "release", "tps-service"),
-        "--out", os.path.join(HERE, "out"),
-        "--rustc", rustc,
-        "--commit", commit,
-        "--source-digest", source_digest(),
-    ]
-    done = subprocess.run(harness, cwd=ROOT)
-    sys.exit(done.returncode)
+    digest = source_digest()
+    code = 0
+    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
+        harness = [
+            os.path.join(target_dir, "release", "servicebench"),
+            "--workload", workload,
+            "--seed", str(args.seed),
+            "--seconds", str(args.seconds),
+            "--trace", args.trace,
+            "--service-bin", os.path.join(target_dir, "release", "tps-service"),
+            "--out", os.path.join(HERE, "out"),
+            "--rustc", rustc,
+            "--commit", commit,
+            "--source-digest", digest,
+        ]
+        done = subprocess.run(harness, cwd=ROOT)
+        code = code or done.returncode
+    sys.exit(code)
 
 
 if __name__ == "__main__":
