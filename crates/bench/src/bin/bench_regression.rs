@@ -31,6 +31,8 @@
 //! Exits 0 when every metric is within bounds, 1 on regression, 2 on
 //! malformed inputs.
 
+#![forbid(unsafe_code)]
+
 use tps_bench::json::JsonValue;
 
 /// One compared metric: lower is better (ns per update).

@@ -15,6 +15,8 @@
 //!     [--quick] [--json] [--sharded] [--runtime] [--checkpoint]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use tps_bench::experiments as exp;
 use tps_bench::json::{Json, ToJson};
 

@@ -27,6 +27,8 @@
 //! one-core runner is distinguishable from a green run that really
 //! enforced end-to-end scaling.
 
+#![forbid(unsafe_code)]
+
 use tps_bench::json::JsonValue;
 
 fn fail_usage(msg: &str) -> ! {

@@ -1083,8 +1083,9 @@ pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) 
         best_querying = best_querying.max(rate);
 
         // The retired query path on the same final state: `clone()`
-        // quiesces and detaches from the runtime, so `merged()` on the
-        // clone is exactly the old deep-clone + fold-merge + draw.
+        // copies the shard states into a sampler with no runtime, so
+        // `merged()` on the clone is exactly the old deep-clone +
+        // fold-merge + draw.
         let mut reference = querying.clone();
         for _ in 0..query_every_batches {
             let query_start = Instant::now();

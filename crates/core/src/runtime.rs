@@ -29,23 +29,18 @@
 //!   admitted sub-stream. Every policy's pressure events are counted in
 //!   [`RuntimeStats`] so front-ends can observe instead of flying blind.
 //!
-//! ## Ownership and safety model
+//! ## Ownership model
 //!
-//! The coordinator (e.g. [`crate::sharded::ShardedSampler`]) keeps owning
-//! its shard states; the pool borrows them as raw pointers for the workers.
-//! Exclusivity is protocol-enforced rather than type-enforced, which is why
-//! [`ShardPool::start`] is `unsafe`:
-//!
-//! * between `start` and the pool's drop, worker `j` is the only code that
-//!   dereferences shard `j`'s pointer — **except** when the coordinator has
-//!   completed a barrier ([`ShardPool::flush`] / [`ShardPool::snapshot_all`])
-//!   and has not yet sent another command; in that window every ring is
-//!   empty and every worker is parked on its ring, so the coordinator may
-//!   read (or, with `&mut` access, mutate) the shards directly;
-//! * dropping the pool closes every ring, lets each worker drain what is
-//!   already queued, and joins it — after which the shards are plain owned
-//!   data again. A worker panic is re-raised on the coordinator thread at
-//!   the next barrier (or at drop), never swallowed.
+//! Workers own their shards. [`ShardPool::start`] takes the shard samplers
+//! by value and moves each one into its worker thread, which keeps it until
+//! its ring closes; no other thread can reach it. The coordinator sees
+//! shard state only through barrier snapshots: [`ShardPool::snapshot_all`]
+//! returns every shard's sealed codec bytes at a consistent cut, and the
+//! coordinator restores them into its own copies. Dropping the pool closes
+//! every ring, lets each worker drain what is already queued, and joins
+//! it; the shard states are dropped with their workers. A worker panic is
+//! re-raised on the coordinator thread at the next barrier (or at drop),
+//! never swallowed.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -126,11 +121,6 @@ enum ShardReply<U> {
     },
 }
 
-/// Sends a shard pointer into its worker thread. Safety is argued at the
-/// single place these are created, [`ShardPool::start`].
-struct ShardPtr<S>(*mut S);
-unsafe impl<S: Send> Send for ShardPtr<S> {}
-
 /// A pool of persistent shard workers (see the module docs).
 ///
 /// Not generic over the sampler type: the type is erased into the worker
@@ -162,20 +152,11 @@ pub struct ShardPool<U: StreamUpdate = Item> {
 const BARRIER_POLL: Duration = Duration::from_millis(100);
 
 impl<U: StreamUpdate> ShardPool<U> {
-    /// Spawns one persistent worker per pointer in `shards` and wires each
-    /// to a bounded command ring.
-    ///
-    /// # Safety
-    ///
-    /// Every pointer must stay valid and un-aliased for the pool's whole
-    /// lifetime: until this `ShardPool` is dropped, the pointee may only be
-    /// accessed (a) by its worker thread, and (b) by the caller *between* a
-    /// completed barrier ([`Self::flush`] / [`Self::snapshot_all`]) and the
-    /// next command sent to that shard. In particular the allocation the
-    /// pointers point into must not move or be freed while the pool is
-    /// alive (the pool joins its workers on drop, so dropping the pool
-    /// before the pointees is sufficient).
-    pub unsafe fn start<S>(shards: &[*mut S], config: RuntimeConfig) -> Self
+    /// Spawns one persistent worker per sampler in `shards` and wires each
+    /// to a bounded command ring. Each worker owns its sampler from here
+    /// on: the caller sees shard state only through the barrier snapshots
+    /// of [`Self::snapshot_all`], which restore into copies.
+    pub fn start<S>(shards: Vec<S>, config: RuntimeConfig) -> Self
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
@@ -183,13 +164,12 @@ impl<U: StreamUpdate> ShardPool<U> {
         let (reply_tx, replies) = mpsc::channel::<ShardReply<U>>();
         let mut producers = Vec::with_capacity(shards.len());
         let mut handles = Vec::with_capacity(shards.len());
-        for (index, &shard) in shards.iter().enumerate() {
+        for (index, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = spsc::ring::<ShardCmd<U>>(config.ring_capacity);
             let reply_tx = reply_tx.clone();
-            let ptr = ShardPtr(shard);
             let handle = std::thread::Builder::new()
                 .name(format!("tps-shard-{index}"))
-                .spawn(move || worker_loop(ptr, rx, index, reply_tx))
+                .spawn(move || worker_loop(shard, rx, index, reply_tx))
                 .expect("spawn shard worker");
             producers.push(tx);
             handles.push(Some(handle));
@@ -319,9 +299,7 @@ impl<U: StreamUpdate> ShardPool<U> {
     }
 
     /// Blocks until everything sent so far — including spilled chunks — has
-    /// been applied by every worker. On return all rings are empty and the
-    /// coordinator may touch the shard states directly (see
-    /// [`Self::start`]'s contract).
+    /// been applied by every worker.
     pub fn flush(&mut self) {
         let _ = self.barrier(false);
     }
@@ -465,7 +443,7 @@ impl<U: StreamUpdate> std::fmt::Debug for ShardPool<U> {
 /// The worker body: apply commands from the ring in order until the
 /// coordinator closes it, acknowledging barriers and recycling buffers.
 fn worker_loop<S, U>(
-    ptr: ShardPtr<S>,
+    mut sampler: S,
     mut commands: Consumer<ShardCmd<U>>,
     shard: usize,
     replies: mpsc::Sender<ShardReply<U>>,
@@ -476,16 +454,12 @@ fn worker_loop<S, U>(
     while let Some(cmd) = commands.pop() {
         match cmd {
             ShardCmd::Ingest(mut chunk) => {
-                // SAFETY: per `ShardPool::start`'s contract this worker has
-                // exclusive access to the pointee while commands are in
-                // flight.
-                unsafe { (*ptr.0).ingest_batch(&chunk) };
+                sampler.ingest_batch(&chunk);
                 chunk.clear();
                 let _ = replies.send(ShardReply::Recycled(chunk));
             }
             ShardCmd::Barrier { epoch, snapshot } => {
-                // SAFETY: as above; `snapshot` only needs `&S`.
-                let bytes = snapshot.then(|| unsafe { (*ptr.0).snapshot() });
+                let bytes = snapshot.then(|| sampler.snapshot());
                 let _ = replies.send(ShardReply::Barrier {
                     shard,
                     epoch,
@@ -500,6 +474,8 @@ fn worker_loop<S, U>(
 mod tests {
     use super::*;
     use crate::lp::TrulyPerfectLpSampler;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use tps_streams::codec::Restore;
     use tps_streams::StreamSampler;
 
@@ -520,59 +496,48 @@ mod tests {
     #[test]
     fn pool_ingest_matches_direct_ingest() {
         for backpressure in [Backpressure::Block, Backpressure::Spill] {
-            let mut via_pool = samplers(3, 9);
             let mut direct = samplers(3, 9);
             let items = stream(30_000);
-            {
-                let ptrs: Vec<*mut _> = via_pool.iter_mut().map(|s| s as *mut _).collect();
-                let mut pool = unsafe {
-                    ShardPool::start(
-                        &ptrs,
-                        RuntimeConfig {
-                            backpressure,
-                            // Tiny ring so both policies hit their full-ring path.
-                            ring_capacity: 2,
-                        },
-                    )
-                };
-                for (index, chunk) in items.chunks(1_000).enumerate() {
-                    let shard = index % 3;
-                    let mut buffer = pool.take_buffer();
-                    buffer.extend_from_slice(chunk);
-                    pool.send(shard, buffer);
-                    direct[shard].update_batch(chunk);
-                }
-                pool.flush();
-                assert_eq!(pool.spilled_chunks(), 0);
+            let mut pool = ShardPool::start(
+                samplers(3, 9),
+                RuntimeConfig {
+                    backpressure,
+                    // Tiny ring so both policies hit their full-ring path.
+                    ring_capacity: 2,
+                },
+            );
+            for (index, chunk) in items.chunks(1_000).enumerate() {
+                let shard = index % 3;
+                let mut buffer = pool.take_buffer();
+                buffer.extend_from_slice(chunk);
+                pool.send(shard, buffer);
+                direct[shard].update_batch(chunk);
             }
-            for (a, b) in via_pool.iter().zip(&direct) {
-                assert_eq!(a.snapshot(), b.snapshot(), "{backpressure:?}");
+            let cut = pool.snapshot_all();
+            assert_eq!(pool.spilled_chunks(), 0);
+            for (bytes, b) in cut.iter().zip(&direct) {
+                assert_eq!(bytes, &b.snapshot(), "{backpressure:?}");
             }
         }
     }
 
     /// The snapshot barrier is a consistent cut: bytes equal each shard's
     /// own snapshot at exactly the pre-barrier prefix, and ingest enqueued
-    /// after the barrier is excluded.
+    /// after the barrier is excluded from it but lands before the next.
     #[test]
     fn snapshot_barrier_cuts_between_chunks() {
-        let mut shards = samplers(2, 4);
         let mut reference = samplers(2, 4);
         let prefix = stream(8_000);
         let suffix: Vec<Item> = stream(8_000).into_iter().map(|x| x + 1).collect();
-        let cut_bytes;
-        {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs, RuntimeConfig::default()) };
-            for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
-                pool.send(j, half.to_vec());
-            }
-            cut_bytes = pool.snapshot_all();
-            for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
-                pool.send(j, half.to_vec());
-            }
-            pool.flush();
+        let mut pool = ShardPool::start(samplers(2, 4), RuntimeConfig::default());
+        for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
+            pool.send(j, half.to_vec());
         }
+        let cut_bytes = pool.snapshot_all();
+        for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
+            pool.send(j, half.to_vec());
+        }
+        let final_bytes = pool.snapshot_all();
         for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
             reference[j].update_batch(half);
         }
@@ -581,55 +546,80 @@ mod tests {
             let restored = TrulyPerfectLpSampler::restore(bytes).unwrap();
             assert_eq!(restored.processed(), reference[j].processed());
         }
-        // And the post-barrier suffix did land (drop = graceful drain).
         for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
             reference[j].update_batch(half);
-            assert_eq!(shards[j].snapshot(), reference[j].snapshot());
+            assert_eq!(final_bytes[j], reference[j].snapshot());
         }
     }
 
-    /// Spill mode never blocks the sender: with a 2-slot ring and a worker
-    /// wedged behind a large chunk, sends keep succeeding by spilling, and
-    /// the barrier drains everything in order.
+    /// Spill mode never blocks the sender: with a 2-slot ring and the
+    /// worker held inside its first chunk, every further send succeeds by
+    /// spilling, and the barrier drains everything in order.
     #[test]
     fn spill_mode_parks_overflow_and_flush_drains_it() {
-        let mut shards = samplers(1, 11);
+        /// Holds its worker inside the first batch until `gate` opens.
+        struct Gated {
+            inner: TrulyPerfectLpSampler,
+            gate: Option<mpsc::Receiver<()>>,
+        }
+        impl StreamSampler for Gated {
+            fn update(&mut self, item: Item) {
+                self.inner.update(item);
+            }
+            fn update_batch(&mut self, items: &[Item]) {
+                if let Some(gate) = self.gate.take() {
+                    let _ = gate.recv();
+                }
+                self.inner.update_batch(items);
+            }
+            fn sample(&mut self) -> tps_streams::SampleOutcome {
+                self.inner.sample()
+            }
+        }
+        impl Snapshot for Gated {
+            const TAG: u16 = TrulyPerfectLpSampler::TAG;
+            fn encode_into(&self, w: &mut tps_streams::SnapshotWriter) {
+                self.inner.encode_into(w);
+            }
+        }
         let mut direct = samplers(1, 11);
         let items = stream(50_000);
-        {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe {
-                ShardPool::start(
-                    &ptrs,
-                    RuntimeConfig {
-                        backpressure: Backpressure::Spill,
-                        ring_capacity: 2,
-                    },
-                )
-            };
-            let mut spilled_at_least_once = false;
-            for chunk in items.chunks(500) {
-                pool.send(0, chunk.to_vec());
-                direct[0].update_batch(chunk);
-                spilled_at_least_once |= pool.spilled_chunks() > 0;
-            }
-            pool.flush();
-            assert_eq!(pool.spilled_chunks(), 0);
-            // 100 rapid sends through a 2-slot ring must overflow sometimes;
-            // if not, the test isn't exercising the spill path.
-            assert!(spilled_at_least_once, "spill path never exercised");
+        let (open, gate) = mpsc::channel();
+        let gated = Gated {
+            inner: samplers(1, 11).remove(0),
+            gate: Some(gate),
+        };
+        let mut pool = ShardPool::start(
+            vec![gated],
+            RuntimeConfig {
+                backpressure: Backpressure::Spill,
+                ring_capacity: 2,
+            },
+        );
+        for chunk in items.chunks(500) {
+            pool.send(0, chunk.to_vec());
+            direct[0].update_batch(chunk);
         }
-        assert_eq!(shards[0].snapshot(), direct[0].snapshot());
+        // The held worker has taken at most one chunk and the ring holds
+        // two, so the other 97 of the 100 sends must have spilled.
+        assert!(pool.spilled_chunks() >= 97, "spill path never exercised");
+        open.send(()).unwrap();
+        pool.flush();
+        assert_eq!(pool.spilled_chunks(), 0);
+        assert_eq!(pool.snapshot_all()[0], direct[0].snapshot());
     }
 
     /// Fail mode sheds chunks instead of blocking or buffering: against a
     /// deliberately slow worker behind a 2-slot ring, rapid sends drop some
     /// chunks, the counters account for every chunk and item, and the
-    /// barrier still completes (barriers are never shed).
+    /// barrier still completes (barriers are never shed). Dropping the pool
+    /// drains what is still queued before the worker drops its shard.
     #[test]
     fn fail_mode_sheds_chunks_and_counts_them() {
         struct SlowCounter {
             seen: u64,
+            /// Receives `seen` when the worker drops its shard.
+            on_drop: Arc<AtomicU64>,
         }
         impl StreamSampler for SlowCounter {
             fn update(&mut self, _item: Item) {
@@ -650,31 +640,45 @@ mod tests {
                 w.put_u64(self.seen);
             }
         }
-        let mut shards = [SlowCounter { seen: 0 }];
-        let stats = {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe {
-                ShardPool::start(
-                    &ptrs,
-                    RuntimeConfig {
-                        backpressure: Backpressure::Fail,
-                        ring_capacity: 2,
-                    },
-                )
-            };
-            for _ in 0..24 {
-                pool.send(0, vec![1, 2, 3]);
+        impl Drop for SlowCounter {
+            fn drop(&mut self) {
+                self.on_drop.store(self.seen, Ordering::SeqCst);
             }
-            pool.flush();
-            pool.stats()
+        }
+        let counter = |seen| SlowCounter {
+            seen,
+            on_drop: Arc::default(),
         };
+        let on_drop = Arc::new(AtomicU64::new(0));
+        let mut pool = ShardPool::start(
+            vec![SlowCounter {
+                seen: 0,
+                on_drop: Arc::clone(&on_drop),
+            }],
+            RuntimeConfig {
+                backpressure: Backpressure::Fail,
+                ring_capacity: 2,
+            },
+        );
+        for _ in 0..24 {
+            pool.send(0, vec![1, 2, 3]);
+        }
+        let cut = pool.snapshot_all();
+        let stats = pool.stats();
         assert!(stats.dropped_chunks > 0, "fail path never shed a chunk");
         assert_eq!(stats.chunks + stats.dropped_chunks, 24);
         assert_eq!(stats.dropped_items, 3 * stats.dropped_chunks);
         assert_eq!(stats.spilled, 0);
         assert_eq!(stats.spilled_pending, 0);
         // Delivered chunks all landed; shed chunks never did.
-        assert_eq!(shards[0].seen, 3 * stats.chunks);
+        assert_eq!(cut[0], counter(3 * stats.chunks).snapshot());
+        // No barrier after these: drop must drain the admitted ones.
+        for _ in 0..8 {
+            pool.send(0, vec![1, 2, 3]);
+        }
+        let delivered = pool.stats().chunks;
+        drop(pool);
+        assert_eq!(on_drop.load(Ordering::SeqCst), 3 * delivered);
     }
 
     #[test]
@@ -695,9 +699,7 @@ mod tests {
             }
         }
         let result = std::panic::catch_unwind(|| {
-            let mut shards = [Bomb];
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs, RuntimeConfig::default()) };
+            let mut pool = ShardPool::start(vec![Bomb], RuntimeConfig::default());
             pool.send(0, vec![1, 2, 3]);
             pool.flush();
         });

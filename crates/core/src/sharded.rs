@@ -55,11 +55,10 @@
 //! [`ShardedSampler::runtime_stats`] exposing the blocked/spilled/dropped
 //! counters either way.
 
-use std::cell::UnsafeCell;
 use std::sync::Mutex;
 
 use crate::runtime::{RuntimeConfig, RuntimeStats, ShardPool};
-use tps_random::Xoshiro256;
+use tps_random::{StreamRng, Xoshiro256};
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
 use tps_streams::spsc::Backpressure;
 use tps_streams::{
@@ -113,6 +112,56 @@ pub fn hash_route(item: Item, shards: usize) -> usize {
 /// with `Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT)` reproduces an
 /// in-process [`ShardedSampler`]'s first merged query byte for byte.
 pub const MERGE_SEED_SALT: u64 = 0x5AAD_ED00;
+
+/// Fold-merges shard samplers in shard order with merge coins from `rng`:
+/// the one merge recipe behind [`ShardedSampler::merged`] and any external
+/// coordinator that restores per-shard snapshots (seed `rng` as described
+/// at [`MERGE_SEED_SALT`] to reproduce an in-process sampler's first
+/// merged query byte for byte).
+///
+/// # Errors
+///
+/// [`IncompatibleShard`] when a shard fails
+/// [`MergeableSampler::merge_compatible`] against the fold of the shards
+/// before it.
+///
+/// # Panics
+///
+/// Panics if `shards` is empty.
+pub fn fold_merge<S: MergeableSampler>(
+    shards: impl IntoIterator<Item = S>,
+    rng: &mut dyn StreamRng,
+) -> Result<S, IncompatibleShard> {
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().expect("at least one shard");
+    for (index, shard) in (1..).zip(shards) {
+        if !merged.merge_compatible(&shard) {
+            return Err(IncompatibleShard { index });
+        }
+        merged = merged.merge(shard, rng);
+    }
+    Ok(merged)
+}
+
+/// [`fold_merge`]'s error: shard `index` disagrees with the shards before
+/// it on sampler configuration, so the two cannot merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IncompatibleShard {
+    /// The shard that failed the compatibility check.
+    pub index: usize,
+}
+
+impl std::fmt::Display for IncompatibleShard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shard {} is not merge-compatible with the shards before it",
+            self.index
+        )
+    }
+}
+
+impl std::error::Error for IncompatibleShard {}
 
 /// Batches smaller than this many items *per shard* are scattered and
 /// drained on the calling thread while the runtime is not yet live: below
@@ -260,10 +309,8 @@ impl ShardedSamplerBuilder {
         mut factory: impl FnMut(usize) -> S,
     ) -> ShardedSampler<S, U> {
         ShardedSampler {
-            runtime: None,
-            shards: (0..self.shards)
-                .map(|idx| UnsafeCell::new(factory(idx)))
-                .collect(),
+            shards: Shards::Parked((0..self.shards).map(&mut factory).collect()),
+            shard_count: self.shards,
             strategy: self.strategy,
             cursor: 0,
             scratch: Vec::new(),
@@ -299,10 +346,22 @@ struct MergedCache<S> {
     value: S,
 }
 
+/// Where the shard states live.
+enum Shards<S, U: StreamUpdate> {
+    /// Before the runtime starts, the coordinator owns every shard.
+    Parked(Vec<S>),
+    /// Once it has started, each worker owns its shard, and the coordinator
+    /// reads shard state only through snapshot barriers. Behind a `Mutex`
+    /// so `&self` readers can issue a barrier.
+    Live(Mutex<RuntimeState<U>>),
+}
+
+/// Why the runtime lock can be poisoned: a barrier re-raises a worker's
+/// panic on the coordinator thread while the lock is held.
+const POISONED: &str = "an earlier shard worker panic poisoned the runtime lock";
+
 /// The live half of the runtime: the worker pool plus the per-shard
-/// staging buffers of routed-but-unshipped items. Boxed behind a `Mutex`
-/// so `&self` accessors can quiesce (ship + flush) through interior
-/// mutability while `ShardedSampler` stays `Send`.
+/// staging buffers of routed-but-unshipped items.
 struct RuntimeState<U: StreamUpdate> {
     pool: ShardPool<U>,
     staging: Vec<Vec<U>>,
@@ -319,12 +378,6 @@ impl<U: StreamUpdate> RuntimeState<U> {
             }
         }
     }
-
-    /// Ships staged items and waits until every worker has applied them.
-    fn quiesce(&mut self) {
-        self.ship_staged();
-        self.pool.flush();
-    }
 }
 
 /// A scatter-gather front-end over `k` shard instances of a mergeable
@@ -338,15 +391,10 @@ impl<U: StreamUpdate> RuntimeState<U> {
 /// worker-pool and fold-merge plumbing is written once against
 /// [`StreamUpdate`]/[`UpdateSampler`] and shared by both instantiations.
 pub struct ShardedSampler<S, U: StreamUpdate = Item> {
-    /// Declared first so drop order joins the workers *before* the shard
-    /// states they point into are dropped.
-    runtime: Option<Mutex<RuntimeState<U>>>,
-    /// Owned shard states. `UnsafeCell` because, while the runtime is
-    /// live, worker `j` mutates shard `j` through a raw pointer; the
-    /// coordinator only touches a shard after a completed barrier (see
-    /// [`crate::runtime::ShardPool::start`]'s contract). Boxed slice: the
-    /// allocation must never move while workers hold pointers into it.
-    shards: Box<[UnsafeCell<S>]>,
+    shards: Shards<S, U>,
+    /// Fixed at build time; kept outside `shards` so per-item routing
+    /// helpers never take the runtime lock.
+    shard_count: usize,
     strategy: ShardingStrategy,
     /// Round-robin cursor: the shard the next update is routed to.
     cursor: usize,
@@ -378,35 +426,6 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     cache_stats: QueryCacheStats,
 }
 
-// `UnsafeCell` suppresses auto-`Send`; shipping the whole front-end to
-// another thread is still fine: the boxed slice's allocation (which the
-// workers point into) does not move, and `&mut`/owned access to the
-// coordinator half is unique by construction.
-unsafe impl<S: Send, U: StreamUpdate> Send for ShardedSampler<S, U> {}
-
-impl<S> ShardedSampler<S>
-where
-    S: MergeableSampler + UpdateSampler<Item> + Clone + Send + Snapshot + Restore + 'static,
-{
-    /// Creates a sharded sampler with `shards` instances built by
-    /// `factory(shard_index)` and every other knob at its default.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ShardedSampler::builder(shards) and its named setters"
-    )]
-    pub fn new(
-        shards: usize,
-        strategy: ShardingStrategy,
-        seed: u64,
-        factory: impl FnMut(usize) -> S,
-    ) -> Self {
-        Self::builder(shards)
-            .strategy(strategy)
-            .seed(seed)
-            .build(factory)
-    }
-}
-
 impl<S, U> ShardedSampler<S, U>
 where
     S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
@@ -424,7 +443,7 @@ where
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_count
     }
 
     /// Number of updates processed across all shards (counted at routing
@@ -452,7 +471,7 @@ where
     /// Panics if the worker pool is already running.
     pub fn set_backpressure(&mut self, policy: Backpressure) {
         assert!(
-            self.runtime.is_none(),
+            !self.runtime_active(),
             "set the backpressure policy before the runtime starts"
         );
         self.backpressure = policy;
@@ -460,7 +479,7 @@ where
 
     /// Whether the persistent worker pool is live.
     pub fn runtime_active(&self) -> bool {
-        self.runtime.is_some()
+        matches!(self.shards, Shards::Live(_))
     }
 
     /// The per-shard parallel cutoff (items per shard below which a
@@ -480,74 +499,53 @@ where
     /// (see [`RuntimeStats`]). All zeros while the worker pool has not
     /// started; reset when it restarts (clone, restore).
     pub fn runtime_stats(&self) -> RuntimeStats {
-        match &self.runtime {
-            Some(runtime) => runtime.lock().unwrap().pool.stats(),
-            None => RuntimeStats::default(),
+        match &self.shards {
+            Shards::Live(runtime) => runtime.lock().expect(POISONED).pool.stats(),
+            Shards::Parked(_) => RuntimeStats::default(),
         }
     }
 
     /// Blocks until every routed update has been applied to its shard
-    /// (no-op while the runtime is not live). After `flush` returns, reads
-    /// through [`Self::shard`] observe the complete stream so far.
+    /// (no-op while the runtime is not live).
     pub fn flush(&mut self) {
-        self.quiesce();
+        if let Shards::Live(runtime) = &mut self.shards {
+            let state = runtime.get_mut().expect(POISONED);
+            state.ship_staged();
+            state.pool.flush();
+        }
     }
 
-    /// Read access to one shard (diagnostics and tests). Quiesces the
-    /// runtime first, so the view includes every update routed so far.
-    pub fn shard(&self, idx: usize) -> &S {
-        self.quiesce();
-        // SAFETY: after `quiesce` all rings are empty and every worker is
-        // parked; the returned shared borrow keeps `&self` alive, and all
-        // command-issuing methods require `&mut self`.
-        unsafe { &*self.shards[idx].get() }
+    /// A copy of one shard's state (diagnostics and tests), including every
+    /// update routed so far. While the runtime is live, the copy is
+    /// restored from a snapshot barrier: the worker keeps the shard itself.
+    pub fn shard(&self, idx: usize) -> S {
+        self.shard_states().swap_remove(idx)
     }
 
     /// The shard index an item is routed to under [`ShardingStrategy::Hash`].
     #[inline]
     pub fn hash_shard_of(&self, item: Item) -> usize {
-        route(mix(item), self.shards.len())
+        route(mix(item), self.shard_count())
     }
 
-    /// Ships staged chunks and waits for every worker to go idle. After
-    /// this returns (and until the next command is sent), the coordinator
-    /// may access shard states directly.
-    fn quiesce(&self) {
-        if let Some(runtime) = &self.runtime {
-            runtime.lock().unwrap().quiesce();
+    /// Owned copies of every shard's state in shard order, covering every
+    /// update routed so far: clones while parked, restored barrier
+    /// snapshots while live. The one path every `&self` reader of shard
+    /// state goes through.
+    fn shard_states(&self) -> Vec<S> {
+        match &self.shards {
+            Shards::Parked(shards) => shards.clone(),
+            Shards::Live(runtime) => {
+                let mut state = runtime.lock().expect(POISONED);
+                state.ship_staged();
+                state
+                    .pool
+                    .snapshot_all()
+                    .iter()
+                    .map(|bytes| S::restore(bytes).expect("a worker-emitted snapshot restores"))
+                    .collect()
+            }
         }
-    }
-
-    /// Direct mutable access to one shard; only sound while the runtime is
-    /// not live or fully quiesced.
-    fn shard_mut(&mut self, idx: usize) -> &mut S {
-        debug_assert!(self.runtime.is_none(), "direct access requires no runtime");
-        self.shards[idx].get_mut()
-    }
-
-    /// Starts the persistent worker pool over the current shard states.
-    fn start_runtime(&mut self) {
-        debug_assert!(self.runtime.is_none());
-        let ptrs: Vec<*mut S> = self.shards.iter().map(UnsafeCell::get).collect();
-        // SAFETY: the pointers target the boxed slice owned by `self`,
-        // which is never resized and outlives the pool (`runtime` is
-        // declared before `shards`, so the pool joins its workers first on
-        // drop; `Self` is only movable as a whole, which does not move the
-        // boxed allocation). Coordinator-side access to the pointees only
-        // happens behind `quiesce()` barriers, per the contract.
-        let pool = unsafe {
-            ShardPool::start(
-                &ptrs,
-                RuntimeConfig {
-                    backpressure: self.backpressure,
-                    ..RuntimeConfig::default()
-                },
-            )
-        };
-        self.runtime = Some(Mutex::new(RuntimeState {
-            pool,
-            staging: vec![Vec::new(); self.shards.len()],
-        }));
     }
 
     /// Routes `updates` into the live runtime's staging buffers, shipping
@@ -555,16 +553,14 @@ where
     /// is exactly the loop order, so the engines' batch ≡ loop law carries
     /// over chunk boundaries unchanged.
     fn scatter_to_runtime(&mut self, updates: &[U]) {
-        let k = self.shards.len();
+        let k = self.shard_count;
         let strategy = self.strategy;
         let chunk_len = self.chunk_len;
         let mut cursor = self.cursor;
-        let state = self
-            .runtime
-            .as_mut()
-            .expect("runtime is live")
-            .get_mut()
-            .unwrap();
+        let Shards::Live(runtime) = &mut self.shards else {
+            unreachable!("runtime is live")
+        };
+        let state = runtime.get_mut().expect(POISONED);
         for &update in updates {
             let shard = match strategy {
                 ShardingStrategy::Hash => route(mix(update.route_key()), k),
@@ -594,19 +590,19 @@ where
     pub fn ingest(&mut self, update: U) {
         self.processed += 1;
         self.epoch += 1;
-        if self.runtime.is_some() {
+        let Shards::Parked(shards) = &mut self.shards else {
             self.scatter_to_runtime(std::slice::from_ref(&update));
             return;
-        }
+        };
         let shard = match self.strategy {
-            ShardingStrategy::Hash => route(mix(update.route_key()), self.shards.len()),
+            ShardingStrategy::Hash => route(mix(update.route_key()), self.shard_count),
             ShardingStrategy::RoundRobin => {
                 let shard = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards.len();
+                self.cursor = (self.cursor + 1) % self.shard_count;
                 shard
             }
         };
-        self.shard_mut(shard).ingest(update);
+        shards[shard].ingest(update);
     }
 
     /// Routes a batch of updates: scatter, then either ship to the runtime
@@ -618,15 +614,28 @@ where
             return;
         }
         self.epoch += 1;
-        let k = self.shards.len();
+        let Shards::Parked(shards) = &mut self.shards else {
+            self.scatter_to_runtime(updates);
+            return;
+        };
+        let k = self.shard_count;
         if k == 1 {
-            self.shard_mut(0).ingest_batch(updates);
+            shards[0].ingest_batch(updates);
             return;
         }
-        if self.runtime.is_none() && updates.len() >= k * self.parallel_cutoff {
-            self.start_runtime();
-        }
-        if self.runtime.is_some() {
+        if updates.len() >= k * self.parallel_cutoff {
+            // The workers take the shards over from here on.
+            let pool = ShardPool::start(
+                std::mem::take(shards),
+                RuntimeConfig {
+                    backpressure: self.backpressure,
+                    ..RuntimeConfig::default()
+                },
+            );
+            self.shards = Shards::Live(Mutex::new(RuntimeState {
+                pool,
+                staging: vec![Vec::new(); k],
+            }));
             self.scatter_to_runtime(updates);
             return;
         }
@@ -645,46 +654,22 @@ where
         if self.strategy == ShardingStrategy::RoundRobin {
             self.cursor = (cursor + updates.len()) % k;
         }
-        let scratch = std::mem::take(&mut self.scratch);
-        for (shard, buffer) in scratch.iter().enumerate() {
+        for (shard, buffer) in shards.iter_mut().zip(&self.scratch) {
             if !buffer.is_empty() {
-                self.shard_mut(shard).ingest_batch(buffer);
+                shard.ingest_batch(buffer);
             }
         }
-        self.scratch = scratch;
     }
 
     /// Builds a merged sampler answering for the combined stream of all
-    /// shards. While the runtime is live this restores the workers'
-    /// consistent-cut snapshots and fold-merges those (the shards keep
-    /// ingesting in the meantime); otherwise it fold-merges clones. The two
-    /// paths agree byte-for-byte by the restore-then-merge ≡
-    /// in-process-merge law. Merge coins come from the front-end's own RNG,
-    /// so repeated queries draw independent merged states.
+    /// shards: fold-merges the shard states (restored from a consistent-cut
+    /// snapshot barrier while the runtime is live, so the shards keep
+    /// ingesting in the meantime) with [`fold_merge`]. Merge coins come
+    /// from the front-end's own RNG, so repeated queries draw independent
+    /// merged states.
     pub fn merged(&mut self) -> S {
-        if let Some(runtime) = &mut self.runtime {
-            let state = runtime.get_mut().unwrap();
-            state.ship_staged();
-            let records = state.pool.snapshot_all();
-            let mut shards = records
-                .iter()
-                .map(|bytes| S::restore(bytes).expect("a worker-emitted snapshot always restores"));
-            let mut merged = shards.next().expect("at least one shard");
-            for shard in shards {
-                merged = merged.merge(shard, &mut self.rng);
-            }
-            merged
-        } else {
-            let mut shards = self
-                .shards
-                .iter()
-                .map(|cell| unsafe { &*cell.get() }.clone());
-            let mut merged = shards.next().expect("at least one shard");
-            for shard in shards {
-                merged = merged.merge(shard, &mut self.rng);
-            }
-            merged
-        }
+        fold_merge(self.shard_states(), &mut self.rng)
+            .expect("shards built by one factory are merge-compatible")
     }
 
     /// The ingest generation this sampler is at: one epoch per
@@ -844,18 +829,14 @@ where
     S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
     U: StreamUpdate,
 {
-    /// Clones the coordinator state and (quiesced) shard states. The clone
-    /// starts without a live runtime and with a cold query cache; its pool
-    /// starts lazily at its first large batch.
+    /// Clones the coordinator state and copies of the shard states (see
+    /// [`ShardedSampler::shard`]). The clone starts without a live runtime
+    /// and with a cold query cache; its pool starts lazily at its first
+    /// large batch.
     fn clone(&self) -> Self {
-        self.quiesce();
         Self {
-            runtime: None,
-            shards: self
-                .shards
-                .iter()
-                .map(|cell| UnsafeCell::new(unsafe { &*cell.get() }.clone()))
-                .collect(),
+            shards: Shards::Parked(self.shard_states()),
+            shard_count: self.shard_count,
             strategy: self.strategy,
             cursor: self.cursor,
             scratch: Vec::new(),
@@ -884,22 +865,15 @@ where
     U: StreamUpdate,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.quiesce();
-        let shards: Vec<&S> = self
-            .shards
-            .iter()
-            // SAFETY: quiesced above; see `Self::shard`.
-            .map(|cell| unsafe { &*cell.get() })
-            .collect();
         f.debug_struct("ShardedSampler")
             .field("strategy", &self.strategy)
             .field("cursor", &self.cursor)
             .field("processed", &self.processed)
             .field("epoch", &self.epoch)
             .field("backpressure", &self.backpressure)
-            .field("runtime_active", &self.runtime.is_some())
+            .field("runtime_active", &self.runtime_active())
             .field("cached_query", &self.cache.is_some())
-            .field("shards", &shards)
+            .field("shards", &self.shard_states())
             .finish()
     }
 }
@@ -908,8 +882,8 @@ where
 /// format version 2 — the backpressure policy, parallel cutoff and runtime
 /// chunk length, then round-robin cursor, processed count, merge-coin RNG
 /// position) followed by each shard's own snapshot. Worker-pool state is
-/// operational, not logical: encoding quiesces the pool and ships only the
-/// shard states, and a restored sampler starts with a cold runtime — but,
+/// operational, not logical: encoding ships only the shard states (read
+/// through a snapshot barrier while the pool is live), and a restored sampler starts with a cold runtime — but,
 /// since v2, with the ingest configuration it was built with rather than
 /// the defaults (v1 snapshots migrate with the frozen v1 defaults spliced
 /// in; see `tps_streams::codec::migrate`).
@@ -928,7 +902,7 @@ where
     const TAG: u16 = codec::tag::SHARDED_SAMPLER;
 
     fn encode_into(&self, w: &mut SnapshotWriter) {
-        self.quiesce();
+        let shards = self.shard_states();
         w.put_tag(Self::TAG);
         w.put_u8(match self.strategy {
             ShardingStrategy::Hash => 0,
@@ -944,10 +918,9 @@ where
         w.put_usize(self.cursor);
         w.put_u64(self.processed);
         self.rng.encode_into(w);
-        w.put_len(self.shards.len());
-        for cell in &self.shards {
-            // SAFETY: quiesced above; see `Self::shard`.
-            unsafe { &*cell.get() }.encode_into(w);
+        w.put_len(shards.len());
+        for shard in &shards {
+            shard.encode_into(w);
         }
     }
 }
@@ -1022,8 +995,8 @@ where
             shards.push(shard);
         }
         Ok(Self {
-            runtime: None,
-            shards: shards.into_iter().map(UnsafeCell::new).collect(),
+            shards: Shards::Parked(shards),
+            shard_count: count,
             strategy,
             cursor,
             // Sized lazily by the first sequential batch — never inside
@@ -1055,13 +1028,11 @@ where
     U: StreamUpdate,
 {
     fn space_bytes(&self) -> usize {
-        self.quiesce();
         std::mem::size_of::<Self>()
             + self
-                .shards
+                .shard_states()
                 .iter()
-                // SAFETY: quiesced above; see `Self::shard`.
-                .map(|cell| unsafe { &*cell.get() }.space_bytes())
+                .map(SpaceUsage::space_bytes)
                 .sum::<usize>()
             + self
                 .scratch
@@ -1145,7 +1116,9 @@ mod tests {
     /// parallelism cutoff, for both backpressure policies) and the
     /// sequential small-batch path (many chunks below it) leave identical
     /// states — same shard contents, same query RNG position — for both
-    /// routing strategies.
+    /// routing strategies. Every reader of shard state agrees byte for
+    /// byte across the two: barrier snapshots on the live side, the parked
+    /// shards on the sequential side.
     #[test]
     fn runtime_path_equals_sequential_path_and_loop() {
         let len = 3 * PARALLEL_MIN_PER_SHARD + 1_234;
@@ -1157,6 +1130,7 @@ mod tests {
                     looped.update(x);
                 }
                 let mut sequential = sharded_l2(3, strategy, 21);
+                sequential.set_backpressure(backpressure);
                 for piece in stream.chunks(501) {
                     sequential.update_batch(piece);
                 }
@@ -1177,6 +1151,27 @@ mod tests {
                         "{strategy:?} sequential path diverged at draw {draw}"
                     );
                 }
+                assert!(parallel.runtime_active() && !sequential.runtime_active());
+                let label = format!("{strategy:?}/{backpressure:?}");
+                assert_eq!(parallel.snapshot(), sequential.snapshot(), "{label}");
+                assert_eq!(
+                    parallel.clone().snapshot(),
+                    sequential.clone().snapshot(),
+                    "{label} clone"
+                );
+                for j in 0..3 {
+                    assert_eq!(
+                        parallel.shard(j).snapshot(),
+                        sequential.shard(j).snapshot(),
+                        "{label} shard {j}"
+                    );
+                }
+                // Both front-ends sit at the same merge-coin position here.
+                assert_eq!(
+                    parallel.merged().snapshot(),
+                    sequential.merged().snapshot(),
+                    "{label} merged"
+                );
             }
         }
     }
@@ -1205,10 +1200,10 @@ mod tests {
     }
 
     /// Clones and snapshots taken while the runtime is live observe the
-    /// full routed stream (quiesce-on-read), and the clone behaves like an
-    /// independent sampler from that point.
+    /// full routed stream (read through a snapshot barrier), and the clone
+    /// behaves like an independent sampler from that point.
     #[test]
-    fn clone_and_snapshot_quiesce_the_live_runtime() {
+    fn clone_and_snapshot_read_the_live_runtime() {
         let len = 2 * PARALLEL_MIN_PER_SHARD;
         let stream = zipfish_stream(len, 97);
         let mut live = sharded_l2(2, ShardingStrategy::Hash, 5);
@@ -1227,6 +1222,14 @@ mod tests {
         }
     }
 
+    /// Compile-time check that the front-end is `Send` for both update
+    /// kinds with no `unsafe impl`: every field, worker pool included, is.
+    const _: fn() = || {
+        fn assert_send<T: Send>() {}
+        assert_send::<ShardedSampler<TrulyPerfectLpSampler>>();
+        assert_send::<ShardedSampler<crate::turnstile::StrictTurnstileF0Sampler, SignedUpdate>>();
+    };
+
     #[test]
     fn round_robin_balances_exactly() {
         let mut sharded = sharded_l2(4, ShardingStrategy::RoundRobin, 3);
@@ -1234,6 +1237,22 @@ mod tests {
         for j in 0..4 {
             assert_eq!(sharded.shard(j).processed(), 250);
         }
+    }
+
+    /// `fold_merge` refuses shards that disagree on configuration, naming
+    /// the first one, instead of panicking inside the merge.
+    #[test]
+    fn fold_merge_rejects_incompatible_shards() {
+        let shards = vec![
+            TrulyPerfectLpSampler::new(2.0, 512, 0.1, 1),
+            TrulyPerfectLpSampler::new(2.0, 512, 0.1, 2),
+            TrulyPerfectLpSampler::new(1.0, 512, 0.1, 3),
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(0);
+        assert_eq!(
+            fold_merge(shards, &mut rng).err(),
+            Some(IncompatibleShard { index: 2 })
+        );
     }
 
     #[test]
@@ -1253,25 +1272,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = sharded_l2(0, ShardingStrategy::Hash, 1);
-    }
-
-    /// The deprecated positional constructor is a thin wrapper: it builds
-    /// the same sampler (same snapshot bytes) as the builder with matching
-    /// settings — the pin that keeps pre-builder goldens valid.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_equals_builder() {
-        let factory =
-            |idx: usize| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 7 ^ ((idx as u64) << 32));
-        let mut via_new = ShardedSampler::new(3, ShardingStrategy::RoundRobin, 7, factory);
-        let mut via_builder = ShardedSamplerBuilder::new(3)
-            .strategy(ShardingStrategy::RoundRobin)
-            .seed(7)
-            .build(factory);
-        let stream = zipfish_stream(2_000, 31);
-        via_new.update_batch(&stream);
-        via_builder.update_batch(&stream);
-        assert_eq!(via_new.snapshot(), via_builder.snapshot());
     }
 
     /// The ingest configuration survives the snapshot round trip (new in

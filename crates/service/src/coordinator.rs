@@ -43,7 +43,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use tps_core::sharded::{
-    hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy, MERGE_SEED_SALT,
+    fold_merge, hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy,
+    MERGE_SEED_SALT,
 };
 use tps_random::Xoshiro256;
 use tps_streams::codec::delta::IncrementalCheckpointer;
@@ -411,9 +412,10 @@ fn query_barrier<U: IngestPayload>(
     Ok(snapshots)
 }
 
-/// Restores the per-shard snapshots and fold-merges them in shard order,
-/// with merge coins from `seed ^ MERGE_SEED_SALT` — the exact recipe of an
-/// in-process sharded sampler's first merged query.
+/// Restores the per-shard snapshots and fold-merges them with
+/// [`fold_merge`], merge coins from `seed ^ MERGE_SEED_SALT` — the exact
+/// recipe of an in-process sharded sampler's first merged query. The bytes
+/// come from other processes, so failures are typed `InvalidData` errors.
 fn merge_snapshots<S, U>(
     snapshots: &[Vec<u8>],
     seed: u64,
@@ -423,19 +425,16 @@ where
     S: MergeableSampler + UpdateSampler<U> + Snapshot + Restore,
     U: StreamUpdate,
 {
+    let shards = snapshots
+        .iter()
+        .enumerate()
+        .map(|(index, bytes)| {
+            S::restore(bytes)
+                .map_err(|e| invalid(format!("shard {index} snapshot does not restore: {e}")))
+        })
+        .collect::<io::Result<Vec<S>>>()?;
     let mut rng = Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT);
-    let mut shards = snapshots.iter().enumerate().map(|(index, bytes)| {
-        S::restore(bytes)
-            .map_err(|e| invalid(format!("shard {index} snapshot does not restore: {e}")))
-    });
-    let mut merged = shards.next().expect("at least one shard")?;
-    for shard in shards {
-        let shard = shard?;
-        if !merged.merge_compatible(&shard) {
-            return Err(invalid("shard snapshots are not merge-compatible".into()));
-        }
-        merged = merged.merge(shard, &mut rng);
-    }
+    let mut merged = fold_merge(shards, &mut rng).map_err(|e| invalid(e.to_string()))?;
     let merged_bytes = merged.snapshot();
     Ok(QueryReport {
         processed,

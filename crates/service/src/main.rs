@@ -3,6 +3,8 @@
 //! architecture). This is a thin parser: flags feed a [`ServiceBuilder`],
 //! and everything downstream works on the typed [`JobSpec`].
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub use tps_core as core;
 pub use tps_random as random;
