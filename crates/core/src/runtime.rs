@@ -9,7 +9,7 @@
 //!
 //! * **Persistent workers.** [`ShardPool::start`] pins each shard to one
 //!   long-lived OS thread fed by a bounded SPSC ring
-//!   ([`tps_streams::spsc`]) of coarse commands ([`ShardCmd`]): ingest
+//!   ([`tps_streams::spsc`]) of coarse commands (`ShardCmd`): ingest
 //!   chunks, epoch barriers, snapshot requests. Steady-state ingest pays a
 //!   ring push per ~64k-item chunk instead of a spawn/join per batch.
 //! * **Snapshot-isolated queries.** A snapshot barrier makes every worker

@@ -38,11 +38,12 @@
 //! On top of that, [`ShardedSampler::query`] is the typed front door over
 //! [`ShardedSampler::merged`]: a
 //! [`QueryConsistency::Consistent`] request forces the fresh fold-merge
-//! above, while [`QueryConsistency::Cached`] reuses the last consistent
-//! fold-merge when it is within the caller's staleness bound — no
-//! barrier, no merge, no waiting on ingest. Staleness is measured in
-//! in-process *epochs* (one per ingest call); cache hits and misses are
-//! counted in [`QueryCacheStats`].
+//! above and publishes it into a [`CutCache`] — the same cut cache the
+//! service's query plane serves from — while [`QueryConsistency::Cached`]
+//! reuses the newest published fold-merge when it is within the caller's
+//! staleness bound — no barrier, no merge, no waiting on ingest. Staleness
+//! is measured in in-process *epochs* (one per ingest call); cache hits
+//! and misses are counted in [`QueryCacheStats`].
 //!
 //! ## Construction and configuration
 //!
@@ -55,16 +56,20 @@
 //! [`ShardedSampler::runtime_stats`] exposing the blocked/spilled/dropped
 //! counters either way.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::runtime::{RuntimeConfig, RuntimeStats, ShardPool};
 use tps_random::{StreamRng, Xoshiro256};
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
 use tps_streams::spsc::Backpressure;
 use tps_streams::{
-    Item, MergeableSampler, QueryConsistency, QueryOptions, QuerySnapshot, SampleOutcome,
-    SignedUpdate, SpaceUsage, StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
+    CutCache, Item, MergeableSampler, QueryOptions, QuerySnapshot, SampleOutcome, SignedUpdate,
+    SpaceUsage, StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
 };
+
+pub use tps_streams::QueryCacheStats;
+#[cfg(doc)]
+use tps_streams::QueryConsistency;
 
 /// How [`ShardedSampler`] routes updates to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,30 +325,9 @@ impl ShardedSamplerBuilder {
             parallel_cutoff: self.parallel_cutoff,
             chunk_len: self.chunk_len,
             epoch: 0,
-            cache: None,
-            cache_stats: QueryCacheStats::default(),
+            cache: CutCache::default(),
         }
     }
-}
-
-/// Hit/miss counters for [`ShardedSampler::query`]'s cached mode —
-/// [`RuntimeStats`]-style plain integers, cheap to read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryCacheStats {
-    /// Cached queries answered from the last consistent fold-merge.
-    pub hits: u64,
-    /// Queries that forced a fresh fold-merge: every consistent request,
-    /// plus cached requests whose staleness bound the cache could not
-    /// satisfy.
-    pub misses: u64,
-}
-
-/// The last consistent fold-merge, kept for cached queries. Transient:
-/// never serialised, dropped on clone.
-struct MergedCache<S> {
-    epoch: u64,
-    cut: u64,
-    value: S,
 }
 
 /// Where the shard states live.
@@ -418,12 +402,10 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     /// cache. Transient — never serialised, so a restored sampler starts
     /// at epoch 0 just like it starts with a cold runtime.
     epoch: u64,
-    /// The last consistent fold-merge, reused by cached queries.
-    /// Transient for the same reason as the runtime: operational state,
-    /// not logical state.
-    cache: Option<MergedCache<S>>,
-    /// Hit/miss counters for the query cache. Transient.
-    cache_stats: QueryCacheStats,
+    /// The newest consistent fold-merge, reused by cached queries, and
+    /// the hit/miss counts. Transient for the same reason as the runtime:
+    /// operational state, not logical state.
+    cache: CutCache<S>,
 }
 
 impl<S, U> ShardedSampler<S, U>
@@ -681,7 +663,7 @@ where
 
     /// Hit/miss counters of the query cache (see [`QueryCacheStats`]).
     pub fn query_cache_stats(&self) -> QueryCacheStats {
-        self.cache_stats
+        self.cache.stats()
     }
 
     /// The typed query surface over [`Self::merged`] — the in-process
@@ -698,27 +680,13 @@ where
     /// clones of one published merge, so repeated cached queries return
     /// byte-identical samplers.
     pub fn query(&mut self, options: &QueryOptions) -> QuerySnapshot<S> {
-        if let QueryConsistency::Cached { max_epochs_stale } = options.consistency {
-            if let Some(cache) = &self.cache {
-                if self.epoch - cache.epoch <= max_epochs_stale {
-                    self.cache_stats.hits += 1;
-                    return QuerySnapshot {
-                        value: cache.value.clone(),
-                        epoch: cache.epoch,
-                        cut: cache.cut,
-                        cached: true,
-                    };
-                }
-            }
+        if let Some(hit) = self.cache.lookup(options, self.epoch) {
+            return hit.map(|value| S::clone(&value));
         }
-        self.cache_stats.misses += 1;
+        self.cache.record_miss();
         let value = self.merged();
         let (epoch, cut) = (self.epoch, self.processed);
-        self.cache = Some(MergedCache {
-            epoch,
-            cut,
-            value: value.clone(),
-        });
+        self.cache.publish(epoch, cut, Arc::new(value.clone()));
         QuerySnapshot {
             value,
             epoch,
@@ -846,8 +814,7 @@ where
             parallel_cutoff: self.parallel_cutoff,
             chunk_len: self.chunk_len,
             epoch: self.epoch,
-            cache: None,
-            cache_stats: QueryCacheStats::default(),
+            cache: CutCache::default(),
         }
     }
 }
@@ -872,7 +839,7 @@ where
             .field("epoch", &self.epoch)
             .field("backpressure", &self.backpressure)
             .field("runtime_active", &self.runtime_active())
-            .field("cached_query", &self.cache.is_some())
+            .field("cached_query", &self.cache.newest_epoch().is_some())
             .field("shards", &self.shard_states())
             .finish()
     }
@@ -890,10 +857,9 @@ where
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
-/// processes and recombined there through
-/// [`MergeableSampler`](tps_streams::MergeableSampler) — restore-then-merge
-/// is both the cross-machine scatter-gather path and what the runtime's
-/// own snapshot-isolated queries replay in-process.
+/// processes and recombined there through [`MergeableSampler`] —
+/// restore-then-merge is both the cross-machine scatter-gather path and
+/// what the runtime's own snapshot-isolated queries replay in-process.
 impl<S, U> Snapshot for ShardedSampler<S, U>
 where
     S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
@@ -1009,8 +975,7 @@ where
             chunk_len,
             // Like the runtime: operational state restarts cold.
             epoch: 0,
-            cache: None,
-            cache_stats: QueryCacheStats::default(),
+            cache: CutCache::default(),
         })
     }
 }

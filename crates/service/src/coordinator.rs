@@ -6,8 +6,7 @@
 //! a manifest chain so a killed coordinator resumes, serves consistent-cut
 //! queries to clients while ingest runs, and answers the final query by
 //! restore-and-merge — byte-identical to a single-process
-//! [`ShardedSampler`](tps_core::sharded::ShardedSampler) over the same
-//! stream.
+//! [`ShardedSampler`] over the same stream.
 //!
 //! ## Replay buffers
 //!
@@ -40,6 +39,7 @@
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tps_core::sharded::{
@@ -149,6 +149,52 @@ struct WorkerHandle<U> {
 }
 
 impl<U: IngestPayload> WorkerHandle<U> {
+    /// Wraps a fresh connection to the worker for `shard` and reads and
+    /// verifies its `Hello` (protocol version and capabilities included —
+    /// see [`check_hello`]), returning the handle, with an empty replay
+    /// buffer, and the epoch the worker recovered to (`0` = fresh).
+    fn attach(
+        shard: usize,
+        conn: Box<dyn Connection>,
+        child: Option<Child>,
+        endpoint: Option<String>,
+    ) -> io::Result<(Self, u64)> {
+        let mut handle = Self {
+            shard,
+            conn,
+            child,
+            endpoint,
+            replay: Vec::new(),
+            acked_epoch: 0,
+        };
+        let hello = handle.recv()?;
+        let (said, resume_epoch) = check_hello(&hello, U::REQUIRED_CAPS)
+            .map_err(|e| invalid(format!("worker {shard}: {e}")))?;
+        if said != shard as u64 {
+            return Err(invalid(format!("worker {shard} announced shard {said}")));
+        }
+        Ok((handle, resume_epoch))
+    }
+
+    /// Brings a freshly attached worker level with the chunks in `replay`:
+    /// every chunk tagged `≥ resume_epoch` is outside the worker's
+    /// recovered checkpoint, so it is re-sent in order and buffered again;
+    /// the rest are inside the recovered state and are dropped.
+    fn resend_uncovered(
+        &mut self,
+        resume_epoch: u64,
+        replay: Vec<(u64, Vec<U>)>,
+    ) -> io::Result<()> {
+        self.acked_epoch = resume_epoch;
+        for (tag, items) in replay {
+            if tag >= resume_epoch {
+                self.send(&U::into_ingest(items.clone()))?;
+                self.replay.push((tag, items));
+            }
+        }
+        Ok(())
+    }
+
     fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
         self.conn.send(msg)
     }
@@ -160,22 +206,6 @@ impl<U: IngestPayload> WorkerHandle<U> {
                 self.shard
             ))
         })
-    }
-
-    /// Reads and verifies the worker's `Hello` (protocol version and
-    /// capabilities included — see [`check_hello`]), returning the epoch
-    /// it recovered to (`0` = fresh).
-    fn handshake(&mut self) -> io::Result<u64> {
-        let hello = self.recv()?;
-        let (said, resume_epoch) = check_hello(&hello, U::REQUIRED_CAPS)
-            .map_err(|e| invalid(format!("worker {}: {e}", self.shard)))?;
-        if said != self.shard as u64 {
-            return Err(invalid(format!(
-                "worker {} announced shard {said}",
-                self.shard
-            )));
-        }
-        Ok(resume_epoch)
     }
 
     /// Reads the barrier ack for `epoch`, returning its snapshot field.
@@ -223,16 +253,8 @@ fn spawn_pipe_worker<U: IngestPayload>(
         .spawn()?;
     let input = child.stdin.take().expect("piped stdin");
     let output = child.stdout.take().expect("piped stdout");
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(FramedConnection::new(output, input)),
-        child: Some(child),
-        endpoint: None,
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
-    let resume_epoch = handle.handshake()?;
-    Ok((handle, resume_epoch))
+    let conn = FramedConnection::new(output, input);
+    WorkerHandle::attach(shard, Box::new(conn), Some(child), None)
 }
 
 /// Spawns a `--listen` worker on a loopback ephemeral port, reads the
@@ -259,16 +281,7 @@ fn spawn_listen_worker<U: IngestPayload>(
         .ok_or_else(|| invalid(format!("worker {shard} announced {line:?}")))?
         .to_string();
     let conn = connect_retry(&endpoint, 250)?;
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(conn),
-        child: Some(child),
-        endpoint: Some(endpoint),
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
-    let resume_epoch = handle.handshake()?;
-    Ok((handle, resume_epoch))
+    WorkerHandle::attach(shard, Box::new(conn), Some(child), Some(endpoint))
 }
 
 /// Dials an externally-managed (or inherited) listen worker.
@@ -278,16 +291,7 @@ fn connect_worker<U: IngestPayload>(
     attempts: u32,
 ) -> io::Result<(WorkerHandle<U>, u64)> {
     let conn = connect_retry(endpoint, attempts)?;
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(conn),
-        child: None,
-        endpoint: Some(endpoint.to_string()),
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
-    let resume_epoch = handle.handshake()?;
-    Ok((handle, resume_epoch))
+    WorkerHandle::attach(shard, Box::new(conn), None, Some(endpoint.to_string()))
 }
 
 fn connect_retry(endpoint: &str, attempts: u32) -> io::Result<TcpConnection> {
@@ -319,44 +323,36 @@ fn attach_worker<U: IngestPayload>(
     }
 }
 
-/// Re-attaches the worker for `shard` on a *resumed* job: pipe workers
-/// died with the old coordinator and are respawned; listen workers are
-/// still running and are re-dialed at their recorded endpoint (with a
-/// respawn fallback for self-spawned loopback workers that died too).
+/// Re-attaches the worker for `shard` on a *resumed* job: listen workers
+/// are still running and are re-dialed at their recorded endpoint (with a
+/// respawn fallback for self-spawned loopback workers that died too);
+/// everything else — pipe workers died with the old coordinator — attaches
+/// as on a fresh job.
 fn reattach_worker<U: IngestPayload>(
     spec: &JobSpec,
     exe: &Path,
     shard: usize,
     recorded: Option<&String>,
 ) -> io::Result<(WorkerHandle<U>, u64)> {
-    match &spec.transport {
-        TransportKind::Pipe => spawn_pipe_worker(spec, exe, shard),
-        TransportKind::Tcp { endpoints } => {
-            let self_spawned = endpoints.is_empty();
-            if let Some(endpoint) = recorded {
-                match connect_worker(endpoint, shard, 25) {
-                    Ok(attached) => Ok(attached),
-                    Err(e) if self_spawned => {
-                        eprintln!(
-                            "coordinator: worker {shard} gone from {endpoint} ({e}); respawning"
-                        );
-                        spawn_listen_worker(spec, exe, shard)
-                    }
-                    Err(e) => Err(e),
+    match (&spec.transport, recorded) {
+        (TransportKind::Tcp { endpoints }, Some(endpoint)) => {
+            match connect_worker(endpoint, shard, 25) {
+                Err(e) if endpoints.is_empty() => {
+                    eprintln!("coordinator: worker {shard} gone from {endpoint} ({e}); respawning");
+                    spawn_listen_worker(spec, exe, shard)
                 }
-            } else if self_spawned {
-                spawn_listen_worker(spec, exe, shard)
-            } else {
-                connect_worker(&endpoints[shard], shard, 250)
+                attached => attached,
             }
         }
+        _ => attach_worker(spec, exe, shard),
     }
 }
 
 /// Kills the worker outright (SIGKILL — no drain, simulating a crash) and
 /// brings up a replacement: the fresh process recovers from its on-disk
 /// chain, and the coordinator re-sends the buffered chunks the recovered
-/// checkpoint does not cover.
+/// checkpoint does not cover. Only workers this coordinator spawned can be
+/// killed, so the replacement attaches exactly like a fresh job's worker.
 fn restart_worker<U: IngestPayload>(
     spec: &JobSpec,
     exe: &Path,
@@ -370,46 +366,60 @@ fn restart_worker<U: IngestPayload>(
     };
     child.kill()?;
     child.wait()?;
-    let (mut fresh, resume_epoch) = match &spec.transport {
-        TransportKind::Pipe => spawn_pipe_worker(spec, exe, handle.shard)?,
-        TransportKind::Tcp { .. } => spawn_listen_worker(spec, exe, handle.shard)?,
-    };
-    fresh.acked_epoch = resume_epoch;
-    let replay = std::mem::take(&mut handle.replay);
-    for (tag, items) in replay {
-        if tag >= resume_epoch {
-            fresh.send(&U::into_ingest(items.clone()))?;
-            fresh.replay.push((tag, items));
-        }
-    }
+    let (mut fresh, resume_epoch) = attach_worker(spec, exe, handle.shard)?;
+    fresh.resend_uncovered(resume_epoch, std::mem::take(&mut handle.replay))?;
     // Swap the replacement into the slot; the dead process's handles drop.
     std::mem::swap(handle, &mut fresh);
     Ok(())
 }
 
-/// Runs the query barrier at `epoch`, returning the consistent-cut
-/// snapshots in shard order.
-fn query_barrier<U: IngestPayload>(
+/// One barrier round at `epoch`, for every barrier kind: sends
+/// `Barrier { epoch, kind }` to every worker, then collects every ack and
+/// checks that it carries a snapshot exactly when `kind` asks for one.
+/// Checkpoint kinds also record the ack and trim each replay buffer to the
+/// chunks the new checkpoint does not cover. Returns the cut at
+/// `chunks_routed` (`processed` stream items), with the snapshots in shard
+/// order — none for a plain [`BarrierKind::Checkpoint`].
+///
+/// `crash` is the coordinator-death fault hook: the process aborts with
+/// every barrier in flight and zero acks collected, the widest crash
+/// window.
+fn barrier_round<U: IngestPayload>(
     workers: &mut [WorkerHandle<U>],
     epoch: u64,
-) -> io::Result<Vec<Vec<u8>>> {
+    kind: BarrierKind,
+    chunks_routed: u64,
+    processed: u64,
+    crash: bool,
+) -> io::Result<PublishedCut> {
     for worker in workers.iter_mut() {
-        worker.send(&WireMessage::Barrier {
-            epoch,
-            kind: BarrierKind::Query,
-        })?;
+        worker.send(&WireMessage::Barrier { epoch, kind })?;
     }
-    let mut snapshots = Vec::with_capacity(workers.len());
+    if crash {
+        std::process::abort();
+    }
+    let publishes = kind != BarrierKind::Checkpoint;
+    let mut snapshots = Vec::new();
     for worker in workers.iter_mut() {
-        let snapshot = worker.expect_ack(epoch)?.ok_or_else(|| {
-            invalid(format!(
-                "worker {}: query ack missing snapshot",
-                worker.shard
-            ))
-        })?;
-        snapshots.push(snapshot);
+        let snapshot = worker.expect_ack(epoch)?;
+        if snapshot.is_some() != publishes {
+            return Err(invalid(format!(
+                "worker {}: {kind:?} ack carried the wrong payload (snapshot present: {})",
+                worker.shard, !publishes
+            )));
+        }
+        snapshots.extend(snapshot);
+        if kind != BarrierKind::Query {
+            worker.replay.retain(|&(tag, _)| tag >= epoch);
+            worker.acked_epoch = epoch;
+        }
     }
-    Ok(snapshots)
+    Ok(PublishedCut {
+        epoch,
+        chunks_routed,
+        processed,
+        snapshots,
+    })
 }
 
 /// Restores the per-shard snapshots and fold-merges them with
@@ -522,15 +532,16 @@ fn routed_prefix(stream_len: usize, chunks_routed: u64, chunk: usize) -> u64 {
 
 /// The kind-generic job body: attach workers, route the stream,
 /// checkpoint (manifest-before-barrier), inject faults, serve mid-ingest
-/// queries, run the final query barrier, shut down. Returns the final
-/// consistent-cut snapshots in shard order.
+/// queries, run the final query barrier, shut down. `resume` is the
+/// newest manifest of the chain being resumed. Returns the final
+/// consistent cut.
 fn drive_job<U: IngestPayload>(
     spec: &JobSpec,
     stream: &[U],
     fault: &FaultPlan,
     query: &QueryPlan,
-    resume: Option<Manifest<U>>,
-) -> io::Result<Vec<Vec<u8>>> {
+    resume: Option<&[u8]>,
+) -> io::Result<Arc<PublishedCut>> {
     let exe = match &spec.worker_exe {
         Some(path) => path.clone(),
         None => std::env::current_exe()?,
@@ -538,7 +549,7 @@ fn drive_job<U: IngestPayload>(
     std::fs::create_dir_all(&spec.checkpoint_dir)?;
 
     let store = CheckpointStore::for_coordinator(&spec.checkpoint_dir);
-    let (mut durability, shard_states, start_epoch, start_chunks) = match &resume {
+    let (mut durability, shard_states, start_epoch, start_chunks) = match resume {
         None => {
             if store.recover()?.is_some() {
                 return Err(invalid(format!(
@@ -557,7 +568,9 @@ fn drive_job<U: IngestPayload>(
                 0,
             )
         }
-        Some(manifest) => {
+        Some(bytes) => {
+            let manifest = Manifest::<U>::decode(bytes)
+                .map_err(|e| invalid(format!("manifest does not decode: {e}")))?;
             let chain = store
                 .recover()?
                 .ok_or_else(|| invalid("no coordinator chain to resume from".into()))?;
@@ -572,7 +585,7 @@ fn drive_job<U: IngestPayload>(
                     ),
                     seq,
                 },
-                Some(manifest.shards.clone()),
+                Some(manifest.shards),
                 manifest.epoch,
                 manifest.chunks_routed,
             )
@@ -592,6 +605,10 @@ fn drive_job<U: IngestPayload>(
                 }
                 workers.push(handle);
             }
+            // The job is durable from the first moment it could need
+            // resuming: a manifest at the zero cut covers death before the
+            // first checkpoint.
+            persist_manifest(&mut durability, spec, 0, 0, &workers)?;
         }
         Some(states) => {
             if states.len() != spec.workers {
@@ -604,29 +621,15 @@ fn drive_job<U: IngestPayload>(
             for (shard, state) in states.into_iter().enumerate() {
                 let (mut handle, resume_epoch) =
                     reattach_worker(spec, &exe, shard, state.endpoint.as_ref())?;
-                handle.acked_epoch = resume_epoch;
-                // Re-send every buffered chunk the recovered checkpoint
-                // does not cover, exactly like a worker restart.
-                for (tag, items) in state.replay {
-                    if tag >= resume_epoch {
-                        handle.send(&U::into_ingest(items.clone()))?;
-                        handle.replay.push((tag, items));
-                    }
-                }
+                handle.resend_uncovered(resume_epoch, state.replay)?;
                 workers.push(handle);
             }
         }
     }
 
-    // The job is durable from the first moment it could need resuming: a
-    // manifest at the zero cut covers death before the first checkpoint.
-    if resume.is_none() {
-        persist_manifest(&mut durability, spec, 0, 0, &workers)?;
-    }
-
     // The non-stalling query plane: a dedicated accept thread plus
     // detached handler threads serve clients from the published-cut
-    // slot, so a wedged client can never hold up a barrier (`query.rs`).
+    // cache, so a wedged client can never hold up a barrier (`query.rs`).
     let plane = match &query.listen {
         Some(addr) => Some(QueryPlane::start(addr, spec.sampler, spec.seed)?),
         None => None,
@@ -651,6 +654,7 @@ fn drive_job<U: IngestPayload>(
             worker.replay.push((epoch, updates));
         }
         chunks_routed += 1;
+        let processed = routed_prefix(stream.len(), chunks_routed, spec.chunk);
 
         if let Some(kill) = kill_pending {
             if chunks_routed >= kill.after_chunks {
@@ -661,12 +665,11 @@ fn drive_job<U: IngestPayload>(
                 kill_pending = None;
             }
         }
-        if let Some(die) = fault.die {
-            if !die.mid_barrier && chunks_routed >= die.after_chunks {
-                // Simulated coordinator SIGKILL: no drain, no cleanup, no
-                // manifest write — whatever is durable is all that's left.
-                std::process::abort();
-            }
+        let die_now = fault.die.filter(|die| chunks_routed >= die.after_chunks);
+        if die_now.is_some_and(|die| !die.mid_barrier) {
+            // Simulated coordinator SIGKILL: no drain, no cleanup, no
+            // manifest write — whatever is durable is all that's left.
+            std::process::abort();
         }
 
         if chunks_routed.is_multiple_of(spec.checkpoint_every) {
@@ -676,46 +679,16 @@ fn drive_job<U: IngestPayload>(
             persist_manifest(&mut durability, spec, epoch, chunks_routed, &workers)?;
             // With a live query plane, checkpoint barriers *publish*: the
             // same barrier round that makes the cut durable also hands
-            // its snapshots to the snapshot cache.
+            // its snapshots to the cut cache.
             let kind = if plane.is_some() {
                 BarrierKind::CheckpointPublish
             } else {
                 BarrierKind::Checkpoint
             };
-            for worker in workers.iter_mut() {
-                worker.send(&WireMessage::Barrier { epoch, kind })?;
-            }
-            if let Some(die) = fault.die {
-                if die.mid_barrier && chunks_routed >= die.after_chunks {
-                    // The widest crash window: barriers in flight, zero
-                    // acks collected.
-                    std::process::abort();
-                }
-            }
-            let mut snapshots = Vec::with_capacity(workers.len());
-            for worker in workers.iter_mut() {
-                match (kind, worker.expect_ack(epoch)?) {
-                    (BarrierKind::CheckpointPublish, Some(bytes)) => snapshots.push(bytes),
-                    (BarrierKind::Checkpoint, None) => {}
-                    (_, got) => {
-                        return Err(invalid(format!(
-                            "worker {}: {kind:?} ack carried the wrong payload \
-                             (snapshot present: {})",
-                            worker.shard,
-                            got.is_some()
-                        )))
-                    }
-                }
-                worker.replay.retain(|&(tag, _)| tag >= epoch);
-                worker.acked_epoch = epoch;
-            }
+            let crash = die_now.is_some_and(|die| die.mid_barrier);
+            let cut = barrier_round(&mut workers, epoch, kind, chunks_routed, processed, crash)?;
             if let Some(plane) = &plane {
-                plane.publish(PublishedCut {
-                    epoch,
-                    chunks_routed,
-                    processed: routed_prefix(stream.len(), chunks_routed, spec.chunk),
-                    snapshots,
-                });
+                plane.publish(cut);
             }
         }
 
@@ -734,13 +707,15 @@ fn drive_job<U: IngestPayload>(
             };
             if !pending.is_empty() {
                 epoch += 1;
-                let snapshots = query_barrier(&mut workers, epoch)?;
-                let published = plane.publish(PublishedCut {
+                let cut = barrier_round(
+                    &mut workers,
                     epoch,
+                    BarrierKind::Query,
                     chunks_routed,
-                    processed: routed_prefix(stream.len(), chunks_routed, spec.chunk),
-                    snapshots,
-                });
+                    processed,
+                    false,
+                )?;
+                let published = plane.publish(cut);
                 for request in pending {
                     request.fulfil(&published);
                 }
@@ -749,23 +724,30 @@ fn drive_job<U: IngestPayload>(
     }
 
     epoch += 1;
-    let snapshots = query_barrier(&mut workers, epoch)?;
-    if let Some(plane) = plane {
+    let processed = stream.len() as u64;
+    let cut = barrier_round(
+        &mut workers,
+        epoch,
+        BarrierKind::Query,
+        chunks_routed,
+        processed,
+        false,
+    )?;
+    let cut = match plane {
         // Publish the final cut and answer any last consistent-cut
         // demands with it; then tear the plane down. Handler threads are
         // detached, so however wedged a client is, the job still ends —
         // the plane's drop rejects anything that arrives too late.
-        let published = plane.publish(PublishedCut {
-            epoch,
-            chunks_routed,
-            processed: stream.len() as u64,
-            snapshots: snapshots.clone(),
-        });
-        for request in plane.take_requests() {
-            request.fulfil(&published);
+        Some(plane) => {
+            let published = plane.publish(cut);
+            for request in plane.take_requests() {
+                request.fulfil(&published);
+            }
+            plane.finish();
+            published
         }
-        plane.finish();
-    }
+        None => Arc::new(cut),
+    };
     for worker in workers.iter_mut() {
         worker.send(&WireMessage::Shutdown)?;
     }
@@ -774,35 +756,42 @@ fn drive_job<U: IngestPayload>(
             child.wait()?;
         }
     }
-    Ok(snapshots)
+    Ok(cut)
+}
+
+/// The job body [`run_job`] and [`resume_job`] share: validate the spec,
+/// generate the job's stream for its update type, drive the job (resuming
+/// from `manifest` when given), merge the final cut.
+fn execute(
+    spec: &JobSpec,
+    fault: &FaultPlan,
+    query: &QueryPlan,
+    manifest: Option<&[u8]>,
+) -> io::Result<QueryReport> {
+    spec.validate().map_err(invalid)?;
+    let cut = if spec.sampler.is_turnstile() {
+        let stream = job_signed_stream(spec.universe, spec.count, spec.seed);
+        drive_job(spec, &stream, fault, query, manifest)?
+    } else {
+        let stream = job_stream(spec.universe, spec.count, spec.seed);
+        drive_job(spec, &stream, fault, query, manifest)?
+    };
+    merge_report(spec.sampler, &cut.snapshots, spec.seed, cut.processed)
 }
 
 /// Runs a job from scratch: attach workers, stream, checkpoint (with the
 /// coordinator's own manifest chain), inject the fault plan, serve the
 /// query plan, merge, shut down.
 pub fn run_job(spec: &JobSpec, fault: &FaultPlan, query: &QueryPlan) -> io::Result<QueryReport> {
-    spec.validate().map_err(invalid)?;
-    let (snapshots, processed) = if spec.sampler.is_turnstile() {
-        let stream = job_signed_stream(spec.universe, spec.count, spec.seed);
-        (
-            drive_job(spec, &stream, fault, query, None)?,
-            stream.len() as u64,
-        )
-    } else {
-        let stream = job_stream(spec.universe, spec.count, spec.seed);
-        (
-            drive_job(spec, &stream, fault, query, None)?,
-            stream.len() as u64,
-        )
-    };
-    merge_report(spec.sampler, &snapshots, spec.seed, processed)
+    execute(spec, fault, query, None)
 }
 
 /// Resumes a job from the coordinator chain in `checkpoint_dir`: the
 /// manifest *is* the config snapshot, so nothing else is needed. The
 /// recorded spec's `worker_exe` can be overridden (tests relocate
 /// binaries). The resumed run never re-injects faults — fault plans are
-/// per-invocation, and the invocation that planned them is dead.
+/// per-invocation, and the invocation that planned them is dead. A
+/// recorded spec that fails validation is an `InvalidData` error.
 pub fn resume_job(
     checkpoint_dir: &Path,
     worker_exe: Option<PathBuf>,
@@ -823,33 +812,7 @@ pub fn resume_job(
     // Chains move with their directory; trust the caller's location over
     // the recorded absolute path.
     spec.checkpoint_dir = checkpoint_dir.to_path_buf();
-
-    fn resumed<U: IngestPayload>(
-        spec: &JobSpec,
-        stream: &[U],
-        chain_snapshot: &[u8],
-        query: &QueryPlan,
-    ) -> io::Result<Vec<Vec<u8>>> {
-        let mut manifest = Manifest::<U>::decode(chain_snapshot)
-            .map_err(|e| invalid(format!("manifest does not decode: {e}")))?;
-        manifest.spec = spec.clone();
-        drive_job(spec, stream, &FaultPlan::default(), query, Some(manifest))
-    }
-
-    let (snapshots, processed) = if spec.sampler.is_turnstile() {
-        let stream = job_signed_stream(spec.universe, spec.count, spec.seed);
-        (
-            resumed(&spec, &stream, &chain.snapshot, query)?,
-            stream.len() as u64,
-        )
-    } else {
-        let stream = job_stream(spec.universe, spec.count, spec.seed);
-        (
-            resumed(&spec, &stream, &chain.snapshot, query)?,
-            stream.len() as u64,
-        )
-    };
-    merge_report(spec.sampler, &snapshots, spec.seed, processed)
+    execute(&spec, &FaultPlan::default(), query, Some(&chain.snapshot))
 }
 
 /// The single-process reference: an in-process sharded sampler over the
@@ -936,5 +899,56 @@ mod tests {
         assert_eq!(a.processed, 30_000);
         let other = JobSpec { seed: 6, ..spec };
         assert_ne!(a.merged_fnv, run_reference(&other).merged_fnv);
+    }
+
+    /// `resume_job` validates the spec it decodes from the manifest chain
+    /// exactly like `run_job` validates its argument: a well-formed chain
+    /// recording zero workers or a zero chunk size is a typed
+    /// `InvalidData` error, not a panic in the routing loop.
+    #[test]
+    fn resume_rejects_an_invalid_recorded_spec() {
+        use crate::manifest::ShardState;
+        use tps_streams::Item;
+
+        let valid = ServiceBuilder::new(SamplerKind::L2, 3)
+            .count(10_000)
+            .chunk(1_000)
+            .build()
+            .unwrap();
+        let broken = [
+            (
+                "workers",
+                JobSpec {
+                    workers: 0,
+                    ..valid.clone()
+                },
+            ),
+            ("chunk", JobSpec { chunk: 0, ..valid }),
+        ];
+        for (field, spec) in broken {
+            let dir = std::env::temp_dir()
+                .join(format!("tps-resume-invalid-{field}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let manifest = Manifest::<Item> {
+                epoch: 0,
+                chunks_routed: 0,
+                shards: (0..spec.workers)
+                    .map(|_| ShardState {
+                        acked_epoch: 0,
+                        endpoint: None,
+                        replay: Vec::new(),
+                    })
+                    .collect(),
+                spec,
+            };
+            let frame = IncrementalCheckpointer::new().checkpoint_bytes(manifest.encode(), 1);
+            CheckpointStore::for_coordinator(&dir)
+                .append_frame(frame.bytes())
+                .unwrap();
+            let err = resume_job(&dir, None, &QueryPlan::default()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

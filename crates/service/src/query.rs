@@ -3,26 +3,26 @@
 //! shared **snapshot cache** so that no client — however slow to read its
 //! reply — can ever hold up an ingest barrier.
 //!
-//! ## The published-cut slot
+//! ## The published-cut cache
 //!
-//! The coordinator publishes every consistent cut it collects (checkpoint
-//! barriers upgraded to [`BarrierKind::CheckpointPublish`], plus every
-//! explicit query barrier) into a versioned slot: an ArcSwap-style cell
-//! hand-rolled as `Mutex<Option<Arc<PublishedCut>>>` — the lock is held
-//! only for the pointer swap/clone, never across a merge or a socket
-//! write, so it is uncontended in practice. `live_epoch` tracks the
-//! newest barrier epoch the ingest loop has completed; a cached query is
-//! served from the slot iff `live_epoch - cut.epoch ≤ max_epochs_stale`.
+//! Every barrier of a live plane publishes its consistent cut (checkpoint
+//! barriers are upgraded to `BarrierKind::CheckpointPublish`; query and
+//! final barriers carry snapshots anyway) into a [`CutCache`], the same
+//! cut cache `ShardedSampler::query` serves from, behind a mutex held
+//! only for a pointer swap or clone. So the newest completed barrier is
+//! always the newest published cut, and the plane measures staleness
+//! against that cut: any published cut meets any bound, and a cached
+//! query escalates only while the cache is still empty.
 //!
 //! ## Consistent queries without stalling ingest
 //!
-//! A [`QueryConsistency::Consistent`] query (or a cached one whose bound
-//! the slot cannot meet) posts a [`CutRequest`] to the coordinator over
-//! an mpsc channel and blocks **in its own handler thread** on the
-//! private reply channel. The ingest loop drains pending requests at
-//! chunk boundaries: one query barrier serves *all* of them with the same
-//! `Arc<PublishedCut>`. The barrier itself never touches a client socket
-//! — a wedged client blocks only its own detached thread.
+//! A consistent query (or a cached one the cache cannot serve) posts a
+//! [`CutRequest`] to the coordinator over an mpsc channel and blocks **in
+//! its own handler thread** on the private reply channel. The ingest loop
+//! drains pending requests at chunk boundaries: one query barrier serves
+//! *all* of them with the same `Arc<PublishedCut>`. The barrier itself
+//! never touches a client socket — a wedged client blocks only its own
+//! detached thread.
 //!
 //! ## Merging off the barrier path
 //!
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use tps_streams::wire::transport::{Connection, TcpConnection, TcpServerListener};
 use tps_streams::wire::{reject, WireMessage};
-use tps_streams::QueryConsistency;
+use tps_streams::{CutCache, QueryOptions, QuerySnapshot};
 
 use crate::config::SamplerKind;
 use crate::coordinator::{merge_report, QueryReport};
@@ -58,7 +58,8 @@ pub struct PublishedCut {
     pub chunks_routed: u64,
     /// Stream items routed when the cut was taken (the prefix length).
     pub processed: u64,
-    /// Per-shard sealed snapshots, in shard order.
+    /// Per-shard sealed snapshots, in shard order (empty for a plain
+    /// checkpoint barrier, whose acks carry none).
     pub snapshots: Vec<Vec<u8>>,
 }
 
@@ -84,8 +85,6 @@ impl CutRequest {
 #[derive(Debug, Default)]
 struct PlaneCounters {
     served: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     rejected: AtomicU64,
     latency_total_micros: AtomicU64,
     latency_max_micros: AtomicU64,
@@ -96,10 +95,10 @@ struct PlaneCounters {
 pub struct QueryPlaneStats {
     /// Queries answered with a `QueryReply`.
     pub served: u64,
-    /// Cached queries answered straight from the published slot.
+    /// Cached queries answered straight from the newest published cut.
     pub cache_hits: u64,
-    /// Cached queries whose staleness bound forced a consistent cut
-    /// (plus every explicitly consistent query).
+    /// Queries answered from a fresh consistent cut: every consistent
+    /// query, plus cached ones that found no published cut.
     pub cache_misses: u64,
     /// Queries answered with a typed `QueryRejected`.
     pub rejected: u64,
@@ -122,13 +121,11 @@ impl QueryPlaneStats {
 struct Shared {
     kind: SamplerKind,
     seed: u64,
-    /// The hand-rolled ArcSwap slot holding the newest published cut.
-    slot: Mutex<Option<Arc<PublishedCut>>>,
+    /// The newest published cut and the plane's cache hit/miss counts.
+    cache: Mutex<CutCache<PublishedCut>>,
     /// Merged report for the cut at a given epoch, computed at most once
     /// however many clients ask (merging is deterministic).
     memo: Mutex<Option<(u64, QueryReport)>>,
-    /// Newest barrier epoch the ingest loop has completed.
-    live_epoch: AtomicU64,
     /// Set by [`QueryPlane::finish`]; the accept thread exits and late
     /// escalations are rejected instead of queued.
     shutdown: AtomicBool,
@@ -138,8 +135,16 @@ struct Shared {
 }
 
 impl Shared {
-    fn load_slot(&self) -> Option<Arc<PublishedCut>> {
-        self.slot.lock().expect("slot lock").clone()
+    fn cache(&self) -> std::sync::MutexGuard<'_, CutCache<PublishedCut>> {
+        self.cache.lock().expect("cut cache lock")
+    }
+
+    /// The plane's cached-query decision: every barrier publishes, so the
+    /// live epoch is the newest published cut's own.
+    fn lookup(&self, options: &QueryOptions) -> Option<QuerySnapshot<Arc<PublishedCut>>> {
+        let mut cache = self.cache();
+        let live = cache.newest_epoch().unwrap_or(0);
+        cache.lookup(options, live)
     }
 
     /// The memoized canonical merged report for `cut`.
@@ -184,9 +189,8 @@ impl QueryPlane {
         let shared = Arc::new(Shared {
             kind,
             seed,
-            slot: Mutex::new(None),
+            cache: Mutex::new(CutCache::default()),
             memo: Mutex::new(None),
-            live_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             counters: PlaneCounters::default(),
             requests: requests_tx,
@@ -202,23 +206,15 @@ impl QueryPlane {
         })
     }
 
-    /// Publishes a consistent cut into the slot and advances the live
-    /// epoch. Called by the ingest loop right after collecting barrier
-    /// acks — the only synchronisation is the pointer swap.
+    /// Publishes a consistent cut into the cut cache. Called by the
+    /// ingest loop right after collecting barrier acks — the only
+    /// synchronisation is the pointer swap.
     pub fn publish(&self, cut: PublishedCut) -> Arc<PublishedCut> {
         let cut = Arc::new(cut);
-        *self.shared.slot.lock().expect("slot lock") = Some(Arc::clone(&cut));
-        self.shared.live_epoch.store(cut.epoch, Ordering::Release);
+        self.shared
+            .cache()
+            .publish(cut.epoch, cut.chunks_routed, Arc::clone(&cut));
         cut
-    }
-
-    /// Records that the ingest loop completed a barrier at `epoch`
-    /// *without* publishing its cut (a plain checkpoint on a plane-less
-    /// path never calls this; a publishing path always prefers
-    /// [`Self::publish`]). Advancing the live epoch is what ages the
-    /// published slot for staleness bounds.
-    pub fn advance_epoch(&self, epoch: u64) {
-        self.shared.live_epoch.store(epoch, Ordering::Release);
     }
 
     /// Drains every consistent-cut demand that is waiting right now,
@@ -250,10 +246,11 @@ impl QueryPlane {
     /// A point-in-time copy of the plane's counters.
     pub fn stats(&self) -> QueryPlaneStats {
         let c = &self.shared.counters;
+        let cache = self.shared.cache().stats();
         QueryPlaneStats {
             served: c.served.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             rejected: c.rejected.load(Ordering::Relaxed),
             latency_total_micros: c.latency_total_micros.load(Ordering::Relaxed),
             latency_max_micros: c.latency_max_micros.load(Ordering::Relaxed),
@@ -330,8 +327,8 @@ fn handle_client(mut conn: TcpConnection, shared: Arc<Shared>) {
 fn serve_one(conn: &mut TcpConnection, shared: &Shared) -> io::Result<()> {
     // Server-first Hello: the client learns the protocol version and the
     // CACHED_QUERY capability bit before committing to its options.
-    let live = shared.live_epoch.load(Ordering::Acquire);
-    conn.send(&WireMessage::hello(0, live))?;
+    let newest = shared.cache().newest_epoch().unwrap_or(0);
+    conn.send(&WireMessage::hello(0, newest))?;
     let options = match conn.recv() {
         Ok(Some(WireMessage::Query { options })) => options,
         Ok(Some(other)) => {
@@ -345,44 +342,31 @@ fn serve_one(conn: &mut TcpConnection, shared: &Shared) -> io::Result<()> {
     };
 
     let start = Instant::now();
-    let (cut, cached) = match options.consistency {
-        QueryConsistency::Cached { max_epochs_stale } => {
-            let live = shared.live_epoch.load(Ordering::Acquire);
-            match shared.load_slot() {
-                Some(cut) if live.saturating_sub(cut.epoch) <= max_epochs_stale => (cut, true),
-                // Slot empty or too stale: escalate to a consistent cut.
-                _ => match request_cut(shared) {
-                    Some(cut) => (cut, false),
-                    None => {
-                        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        return conn.send(&WireMessage::QueryRejected {
-                            code: reject::STALE,
-                            detail: format!(
-                                "no published cut within {max_epochs_stale} epochs of \
-                                 live epoch {live}, and the job is no longer running"
-                            ),
-                        });
-                    }
-                },
+    let (cut, cached) = match shared.lookup(&options) {
+        Some(hit) => (hit.value, true),
+        // A consistent query, or an empty cache: force a consistent cut.
+        None => match request_cut(shared) {
+            Some(cut) => {
+                shared.cache().record_miss();
+                (cut, false)
             }
-        }
-        QueryConsistency::Consistent => match request_cut(shared) {
-            Some(cut) => (cut, false),
             None => {
                 shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                return conn.send(&WireMessage::QueryRejected {
-                    code: reject::CLOSED,
-                    detail: "the job is no longer running; no consistent cut available".into(),
-                });
+                let (code, detail) = match options.max_epochs_stale() {
+                    Some(_) => (
+                        reject::STALE,
+                        "no published cut, and the job is no longer running",
+                    ),
+                    None => (
+                        reject::CLOSED,
+                        "the job is no longer running; no consistent cut available",
+                    ),
+                };
+                let detail = detail.into();
+                return conn.send(&WireMessage::QueryRejected { code, detail });
             }
         },
     };
-
-    if cached {
-        shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
 
     // Merge in *this* thread (memoized per epoch): the barrier loop never
     // restores or merges for the query plane.
@@ -414,7 +398,7 @@ fn serve_one(conn: &mut TcpConnection, shared: &Shared) -> io::Result<()> {
 fn request_cut(shared: &Shared) -> Option<Arc<PublishedCut>> {
     if shared.shutdown.load(Ordering::Acquire) {
         // The final cut is always published before shutdown; a cached
-        // query already found the slot unsatisfiable, and no new barrier
+        // query already found the cache unsatisfiable, and no new barrier
         // will ever run.
         return None;
     }
@@ -428,8 +412,8 @@ mod tests {
     use super::*;
 
     /// An ephemeral-port plane; the full socket conversation is covered
-    /// by the smoke suite, so these unit tests exercise the slot,
-    /// staleness and request-channel logic directly.
+    /// by the smoke suite, so these unit tests exercise the cut cache,
+    /// the staleness decision and the request channel directly.
     fn plane_for_test() -> QueryPlane {
         QueryPlane::start("127.0.0.1:0", SamplerKind::L2, 7).unwrap()
     }
@@ -444,32 +428,33 @@ mod tests {
     }
 
     #[test]
-    fn publish_advances_the_live_epoch_and_the_slot() {
+    fn publish_replaces_the_newest_cut() {
         let plane = plane_for_test();
-        assert!(plane.shared.load_slot().is_none());
+        assert_eq!(plane.shared.cache().newest_epoch(), None);
+        assert!(plane.shared.lookup(&QueryOptions::cached(0)).is_none());
         plane.publish(cut(4));
-        let held = plane.shared.load_slot().unwrap();
-        assert_eq!(held.epoch, 4);
-        assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 4);
-        // Advancing the epoch without publishing ages the slot.
-        plane.advance_epoch(9);
-        assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 9);
-        assert_eq!(plane.shared.load_slot().unwrap().epoch, 4);
+        plane.publish(cut(9));
+        let hit = plane.shared.lookup(&QueryOptions::cached(0)).unwrap();
+        assert_eq!((hit.epoch, hit.cut, hit.cached), (9, 27, true));
+        assert_eq!(hit.value.processed, 27_000);
         plane.finish();
     }
 
+    /// The plane measures staleness against its newest published cut, so
+    /// once any cut is published every cached bound hits, and consistent
+    /// queries never do; hits and misses land in the plane's stats.
     #[test]
-    fn staleness_decision_matches_the_bound() {
+    fn staleness_is_measured_against_the_newest_published_cut() {
         let plane = plane_for_test();
         plane.publish(cut(5));
-        plane.advance_epoch(8);
-        let live = plane.shared.live_epoch.load(Ordering::Acquire);
-        let slot = plane.shared.load_slot().unwrap();
-        // live - cut = 3: a bound of 3 serves the slot, a bound of 2
-        // escalates.
-        assert!(live.saturating_sub(slot.epoch) <= 3);
-        assert!(live.saturating_sub(slot.epoch) > 2);
-        plane.finish();
+        for bound in [0, 1, u64::MAX] {
+            let hit = plane.shared.lookup(&QueryOptions::cached(bound)).unwrap();
+            assert_eq!(hit.epoch, 5);
+        }
+        assert!(plane.shared.lookup(&QueryOptions::consistent()).is_none());
+        plane.shared.cache().record_miss();
+        let stats = plane.finish();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (3, 1));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Cross-version snapshot migration: the conversion step the versioning
 //! policy promises.
 //!
-//! Decoders accept exactly [`FORMAT_VERSION`](super::FORMAT_VERSION) —
-//! checkpoints are operational artifacts, and keeping every decoder
-//! multi-version forever would turn each of them into a museum. Instead,
-//! an old snapshot passes through this module **once**, coming out as a
-//! byte-valid current-version snapshot, and everything downstream (the
+//! Decoders accept exactly [`FORMAT_VERSION`] — checkpoints are
+//! operational artifacts, and keeping every decoder multi-version forever
+//! would turn each of them into a museum. Instead, an old snapshot passes
+//! through this module **once**, coming out as a byte-valid
+//! current-version snapshot, and everything downstream (the
 //! restore path, the compat gate, the delta checkpointer) only ever sees
 //! the current format.
 //!
@@ -38,8 +38,8 @@ pub const V1_SHARDED_PARALLEL_CUTOFF: u64 = 4_096;
 pub const V1_SHARDED_CHUNK_LEN: u64 = 32 * 1024;
 
 /// Converts a sealed snapshot of any supported version into a byte-valid
-/// [`FORMAT_VERSION`](super::FORMAT_VERSION) snapshot. Current-version
-/// input is envelope-validated and returned as-is; v1 input is migrated;
+/// [`FORMAT_VERSION`] snapshot. Current-version input is
+/// envelope-validated and returned as-is; v1 input is migrated;
 /// anything else fails with the usual typed
 /// [`CodecError::UnsupportedVersion`].
 pub fn upgrade_to_current(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {

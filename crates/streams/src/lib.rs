@@ -55,7 +55,7 @@ pub use model::{
     Estimator, MatrixSampler, SampleOutcome, SlidingWindowSampler, StreamSampler, TurnstileSampler,
     UpdateSampler,
 };
-pub use query::{QueryConsistency, QueryOptions, QuerySnapshot};
+pub use query::{CutCache, QueryCacheStats, QueryConsistency, QueryOptions, QuerySnapshot};
 pub use space::SpaceUsage;
 pub use spsc::Backpressure;
 pub use update::{Item, MatrixUpdate, SignedUpdate, StreamUpdate, Timestamp, WindowSpec};
