@@ -15,6 +15,8 @@
 //! [`Throughput`] was declared. Machine-readable JSON lines are written to
 //! the file named by the `CRITERION_SHIM_JSON` environment variable if set.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 

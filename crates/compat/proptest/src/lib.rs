@@ -10,6 +10,8 @@
 //! `proptest` workspace dependency for the registry crate restores real
 //! proptest with no source changes to the tests.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     //! Test-case plumbing: configuration, failure type, and the shim PRNG.
 

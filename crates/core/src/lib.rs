@@ -48,8 +48,8 @@
 //!   partitioned parallel ingest across `k` shard instances, answered by
 //!   query-time merging (`tps_streams::MergeableSampler`).
 //! * [`runtime`] — the persistent sharded runtime underneath [`sharded`]:
-//!   one long-lived worker thread per shard behind a bounded SPSC command
-//!   ring, with configurable backpressure and consistent-cut snapshot
+//!   one long-lived worker thread per shard behind a bounded command
+//!   channel, with configurable backpressure and consistent-cut snapshot
 //!   barriers for snapshot-isolated queries.
 //!
 //! ## Quick example
@@ -92,7 +92,7 @@ pub mod turnstile;
 pub use engine::SkipAheadEngine;
 pub use framework::{MeasureNormalizer, RejectionNormalizer, TrulyPerfectGSampler};
 pub use lp::TrulyPerfectLpSampler;
-pub use runtime::RuntimeStats;
+pub use runtime::{Backpressure, RuntimeStats};
 pub use sampler_unit::SamplerUnit;
 pub use sharded::{
     hash_route, QueryCacheStats, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy,

@@ -1,5 +1,5 @@
 //! The persistent sharded runtime: long-lived worker threads behind
-//! bounded SPSC command rings.
+//! bounded command channels.
 //!
 //! PR 3's scatter-gather front-end ([`crate::sharded`]) paid two system
 //! costs the samplers themselves never charge: every `update_batch` spawned
@@ -8,10 +8,10 @@
 //! ingest stalled behind it). This module removes both:
 //!
 //! * **Persistent workers.** [`ShardPool::start`] pins each shard to one
-//!   long-lived OS thread fed by a bounded SPSC ring
-//!   ([`tps_streams::spsc`]) of coarse commands (`ShardCmd`): ingest
-//!   chunks, epoch barriers, snapshot requests. Steady-state ingest pays a
-//!   ring push per ~64k-item chunk instead of a spawn/join per batch.
+//!   long-lived OS thread fed by a bounded `std::sync::mpsc::sync_channel`
+//!   (the shard's *ring*) of coarse commands (`ShardCmd`): ingest chunks,
+//!   epoch barriers, snapshot requests. Steady-state ingest pays one send
+//!   per 32Ki-item chunk instead of a spawn/join per batch.
 //! * **Snapshot-isolated queries.** A snapshot barrier makes every worker
 //!   emit its shard's PR-4 codec snapshot *in-band* — after everything
 //!   enqueued before the barrier, before anything after it — so the `k`
@@ -36,27 +36,49 @@
 //! its ring closes; no other thread can reach it. The coordinator sees
 //! shard state only through barrier snapshots: [`ShardPool::snapshot_all`]
 //! returns every shard's sealed codec bytes at a consistent cut, and the
-//! coordinator restores them into its own copies. Dropping the pool closes
-//! every ring, lets each worker drain what is already queued, and joins
-//! it; the shard states are dropped with their workers. A worker panic is
-//! re-raised on the coordinator thread at the next barrier (or at drop),
-//! never swallowed.
+//! coordinator restores them into its own copies. Dropping the pool sends
+//! every spilled chunk, closes every ring, lets each worker drain what is
+//! already queued, and joins it; the shard states are dropped with their
+//! workers. A worker panic is re-raised on the coordinator thread at the
+//! next barrier (or at drop), never swallowed.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tps_streams::codec::Snapshot;
-use tps_streams::spsc::{self, Backpressure, Consumer, Producer, PushError};
 use tps_streams::{Item, StreamUpdate, UpdateSampler};
+
+/// What the sharded runtime does when a shard's ingest ring is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backpressure {
+    /// Block the caller until the worker drains a slot. Ingest throughput
+    /// then tracks the slowest shard, but memory stays bounded by
+    /// `capacity × chunk` per shard.
+    #[default]
+    Block,
+    /// Never block: the caller keeps the chunk in a coordinator-side spill
+    /// queue and retries on later calls (and drains it, blocking, before
+    /// any barrier). Ingest calls stay non-blocking even while a worker is
+    /// busy emitting a snapshot, at the cost of temporarily unbounded
+    /// coordinator memory under sustained overload.
+    Spill,
+    /// Never block *and* never buffer: a chunk that finds its ring full is
+    /// dropped on the floor (load shedding), counted in the runtime's
+    /// stats. Both latency and memory stay bounded under overload; the
+    /// price is that the sampler answers for the *admitted* sub-stream, so
+    /// front-ends choosing this policy must watch the drop counters.
+    Fail,
+}
 
 /// Tuning knobs for [`ShardPool::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// What to do when a shard's command ring is full.
     pub backpressure: Backpressure,
-    /// Commands buffered per shard ring (rounded up to a power of two).
+    /// Commands buffered per shard ring, exactly. Must be positive: a
+    /// zero-capacity channel would hand every chunk over in rendezvous.
     pub ring_capacity: usize,
 }
 
@@ -133,9 +155,9 @@ enum ShardReply<U> {
 ///
 /// [`SignedUpdate`]: tps_streams::SignedUpdate
 pub struct ShardPool<U: StreamUpdate = Item> {
-    producers: Vec<Producer<ShardCmd<U>>>,
+    producers: Vec<SyncSender<ShardCmd<U>>>,
     handles: Vec<Option<JoinHandle<()>>>,
-    replies: mpsc::Receiver<ShardReply<U>>,
+    replies: Receiver<ShardReply<U>>,
     /// Per-shard overflow queues ([`Backpressure::Spill`] only): chunks
     /// that found their ring full, in stream order, retried before any new
     /// chunk and drained (blocking) before any barrier.
@@ -156,16 +178,21 @@ impl<U: StreamUpdate> ShardPool<U> {
     /// to a bounded command ring. Each worker owns its sampler from here
     /// on: the caller sees shard state only through the barrier snapshots
     /// of [`Self::snapshot_all`], which restore into copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty or `config.ring_capacity == 0`.
     pub fn start<S>(shards: Vec<S>, config: RuntimeConfig) -> Self
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
         assert!(!shards.is_empty(), "need at least one shard");
+        assert!(config.ring_capacity > 0, "ring_capacity must be positive");
         let (reply_tx, replies) = mpsc::channel::<ShardReply<U>>();
         let mut producers = Vec::with_capacity(shards.len());
         let mut handles = Vec::with_capacity(shards.len());
         for (index, shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = spsc::ring::<ShardCmd<U>>(config.ring_capacity);
+            let (tx, rx) = mpsc::sync_channel::<ShardCmd<U>>(config.ring_capacity);
             let reply_tx = reply_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("tps-shard-{index}"))
@@ -230,32 +257,32 @@ impl<U: StreamUpdate> ShardPool<U> {
         match self.backpressure {
             Backpressure::Block => {
                 // Fast path first so the parking events are observable.
-                match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
+                match self.producers[shard].try_send(ShardCmd::Ingest(chunk)) {
                     Ok(()) => self.stats.chunks += 1,
-                    Err(PushError::Full(cmd)) => {
+                    Err(TrySendError::Full(cmd)) => {
                         self.stats.blocked += 1;
-                        if self.producers[shard].push(cmd).is_err() {
+                        if self.producers[shard].send(cmd).is_err() {
                             self.worker_died(shard);
                         }
                         self.stats.chunks += 1;
                     }
-                    Err(PushError::Disconnected(_)) => self.worker_died(shard),
+                    Err(TrySendError::Disconnected(_)) => self.worker_died(shard),
                 }
             }
             Backpressure::Spill => {
                 self.retry_spill(shard);
                 self.stats.chunks += 1;
                 if self.spill[shard].is_empty() {
-                    match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
+                    match self.producers[shard].try_send(ShardCmd::Ingest(chunk)) {
                         Ok(()) => {}
-                        Err(PushError::Full(cmd)) => {
+                        Err(TrySendError::Full(cmd)) => {
                             let ShardCmd::Ingest(chunk) = cmd else {
                                 unreachable!("spill path only pushes ingest commands")
                             };
                             self.stats.spilled += 1;
                             self.spill[shard].push_back(chunk);
                         }
-                        Err(PushError::Disconnected(_)) => self.worker_died(shard),
+                        Err(TrySendError::Disconnected(_)) => self.worker_died(shard),
                     }
                 } else {
                     self.stats.spilled += 1;
@@ -263,9 +290,9 @@ impl<U: StreamUpdate> ShardPool<U> {
                 }
             }
             Backpressure::Fail => {
-                match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
+                match self.producers[shard].try_send(ShardCmd::Ingest(chunk)) {
                     Ok(()) => self.stats.chunks += 1,
-                    Err(PushError::Full(cmd)) => {
+                    Err(TrySendError::Full(cmd)) => {
                         let ShardCmd::Ingest(mut chunk) = cmd else {
                             unreachable!("fail path only pushes ingest commands")
                         };
@@ -275,7 +302,7 @@ impl<U: StreamUpdate> ShardPool<U> {
                         chunk.clear();
                         self.recycle(chunk);
                     }
-                    Err(PushError::Disconnected(_)) => self.worker_died(shard),
+                    Err(TrySendError::Disconnected(_)) => self.worker_died(shard),
                 }
             }
         }
@@ -284,18 +311,27 @@ impl<U: StreamUpdate> ShardPool<U> {
     /// Non-blocking retry of `shard`'s spilled chunks, oldest first.
     fn retry_spill(&mut self, shard: usize) {
         while let Some(chunk) = self.spill[shard].pop_front() {
-            match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
+            match self.producers[shard].try_send(ShardCmd::Ingest(chunk)) {
                 Ok(()) => {}
-                Err(PushError::Full(cmd)) => {
+                Err(TrySendError::Full(cmd)) => {
                     let ShardCmd::Ingest(chunk) = cmd else {
                         unreachable!("spill path only pushes ingest commands")
                     };
                     self.spill[shard].push_front(chunk);
                     return;
                 }
-                Err(PushError::Disconnected(_)) => self.worker_died(shard),
+                Err(TrySendError::Disconnected(_)) => self.worker_died(shard),
             }
         }
+    }
+
+    /// Sends `shard`'s spilled chunks, oldest first, with blocking sends.
+    /// Returns `false` if the shard's worker is gone.
+    fn send_spilled(&mut self, shard: usize) -> bool {
+        let ring = &self.producers[shard];
+        self.spill[shard]
+            .drain(..)
+            .all(|chunk| ring.send(ShardCmd::Ingest(chunk)).is_ok())
     }
 
     /// Blocks until everything sent so far — including spilled chunks — has
@@ -322,15 +358,11 @@ impl<U: StreamUpdate> ShardPool<U> {
         let epoch = self.epoch;
         for shard in 0..self.producers.len() {
             // A barrier must sit after every chunk of the cut, so spilled
-            // chunks are flushed with *blocking* pushes first.
-            while let Some(chunk) = self.spill[shard].pop_front() {
-                if self.producers[shard].push(ShardCmd::Ingest(chunk)).is_err() {
-                    self.worker_died(shard);
-                }
-            }
-            if self.producers[shard]
-                .push(ShardCmd::Barrier { epoch, snapshot })
-                .is_err()
+            // chunks are flushed first.
+            if !self.send_spilled(shard)
+                || self.producers[shard]
+                    .send(ShardCmd::Barrier { epoch, snapshot })
+                    .is_err()
             {
                 self.worker_died(shard);
             }
@@ -411,6 +443,12 @@ impl<U: StreamUpdate> ShardPool<U> {
 
 impl<U: StreamUpdate> Drop for ShardPool<U> {
     fn drop(&mut self) {
+        // Spilled chunks were admitted for guaranteed delivery, so they go
+        // out before the close. A shard whose worker is gone is skipped:
+        // the join below re-raises its panic.
+        for shard in 0..self.producers.len() {
+            self.send_spilled(shard);
+        }
         // Closing the rings (dropping the producers) is the shutdown
         // signal: each worker drains what is already queued, then exits —
         // drop is a graceful drain, not an abort.
@@ -444,14 +482,14 @@ impl<U: StreamUpdate> std::fmt::Debug for ShardPool<U> {
 /// coordinator closes it, acknowledging barriers and recycling buffers.
 fn worker_loop<S, U>(
     mut sampler: S,
-    mut commands: Consumer<ShardCmd<U>>,
+    commands: Receiver<ShardCmd<U>>,
     shard: usize,
     replies: mpsc::Sender<ShardReply<U>>,
 ) where
     S: UpdateSampler<U> + Snapshot + Send,
     U: StreamUpdate,
 {
-    while let Some(cmd) = commands.pop() {
+    while let Ok(cmd) = commands.recv() {
         match cmd {
             ShardCmd::Ingest(mut chunk) => {
                 sampler.ingest_batch(&chunk);
@@ -475,7 +513,7 @@ mod tests {
     use super::*;
     use crate::lp::TrulyPerfectLpSampler;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use tps_streams::codec::Restore;
     use tps_streams::StreamSampler;
 
@@ -489,6 +527,56 @@ mod tests {
         (0..len as u64)
             .map(|i| i.wrapping_mul(0x9E37) % 97)
             .collect()
+    }
+
+    /// Counts the items it applies. Its worker stops inside the first
+    /// batch: the test's first wait on `gate` returns once the worker holds
+    /// that batch, and the second lets it go on. Reports its count to
+    /// `on_drop` when the worker drops its shard.
+    struct GatedCounter {
+        seen: u64,
+        gate: Option<Arc<Barrier>>,
+        on_drop: Arc<AtomicU64>,
+    }
+    impl StreamSampler for GatedCounter {
+        fn update(&mut self, _item: Item) {
+            self.seen += 1;
+        }
+        fn update_batch(&mut self, items: &[Item]) {
+            if let Some(gate) = self.gate.take() {
+                gate.wait();
+                gate.wait();
+            }
+            self.seen += items.len() as u64;
+        }
+        fn sample(&mut self) -> tps_streams::SampleOutcome {
+            tps_streams::SampleOutcome::Empty
+        }
+    }
+    impl Snapshot for GatedCounter {
+        const TAG: u16 = 0xFFFD;
+        fn encode_into(&self, w: &mut tps_streams::SnapshotWriter) {
+            w.put_tag(Self::TAG);
+            w.put_u64(self.seen);
+        }
+    }
+    impl Drop for GatedCounter {
+        fn drop(&mut self) {
+            self.on_drop.store(self.seen, Ordering::SeqCst);
+        }
+    }
+
+    /// A one-shard pool on a [`GatedCounter`], with its gate and its drop
+    /// report.
+    fn gated_pool(config: RuntimeConfig) -> (ShardPool, Arc<Barrier>, Arc<AtomicU64>) {
+        let gate = Arc::new(Barrier::new(2));
+        let on_drop = Arc::new(AtomicU64::new(0));
+        let shard = GatedCounter {
+            seen: 0,
+            gate: Some(Arc::clone(&gate)),
+            on_drop: Arc::clone(&on_drop),
+        };
+        (ShardPool::start(vec![shard], config), gate, on_drop)
     }
 
     /// Round-robin chunks through the pool ≡ the same chunks applied
@@ -709,5 +797,59 @@ mod tests {
             .copied()
             .unwrap_or("<non-str payload>");
         assert_eq!(message, "boom");
+    }
+
+    /// A ring holds exactly `ring_capacity` chunks: with the worker holding
+    /// its first chunk, a Fail-mode pool admits three more into a 3-slot
+    /// ring and sheds the other six.
+    #[test]
+    fn ring_capacity_is_exact() {
+        let (mut pool, gate, on_drop) = gated_pool(RuntimeConfig {
+            backpressure: Backpressure::Fail,
+            ring_capacity: 3,
+        });
+        pool.send(0, vec![1, 2, 3]);
+        gate.wait();
+        for _ in 1..10 {
+            pool.send(0, vec![1, 2, 3]);
+        }
+        let stats = pool.stats();
+        gate.wait();
+        drop(pool);
+        assert_eq!(stats.chunks, 4);
+        assert_eq!(stats.dropped_chunks, 10 - stats.chunks);
+        assert_eq!(on_drop.load(Ordering::SeqCst), 3 * stats.chunks);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring_capacity must be positive")]
+    fn zero_ring_capacity_is_rejected() {
+        ShardPool::<Item>::start(
+            samplers(1, 1),
+            RuntimeConfig {
+                backpressure: Backpressure::Block,
+                ring_capacity: 0,
+            },
+        );
+    }
+
+    /// Spilled chunks count as admitted, so dropping a Spill-mode pool
+    /// must deliver them before the worker drops its shard.
+    #[test]
+    fn spill_mode_drop_delivers_spilled_chunks() {
+        let (mut pool, gate, on_drop) = gated_pool(RuntimeConfig {
+            backpressure: Backpressure::Spill,
+            ring_capacity: 2,
+        });
+        pool.send(0, vec![1, 2, 3]);
+        gate.wait();
+        for _ in 1..100 {
+            pool.send(0, vec![1, 2, 3]);
+        }
+        let spilled = pool.spilled_chunks();
+        gate.wait();
+        drop(pool);
+        assert_eq!(spilled, 97);
+        assert_eq!(on_drop.load(Ordering::SeqCst), 300);
     }
 }

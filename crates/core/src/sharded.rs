@@ -6,7 +6,7 @@
 //! ceiling: [`ShardedSampler`] routes updates across `k` independent shard
 //! instances, feeds each shard's amortised batch path through the
 //! persistent worker pool of [`crate::runtime`] (one long-lived thread per
-//! shard behind a bounded SPSC ring — no per-batch spawn/join), and answers
+//! shard behind a bounded command ring — no per-batch spawn/join), and answers
 //! queries from snapshot-isolated cuts merged through the shards'
 //! [`MergeableSampler`] implementation.
 //!
@@ -58,10 +58,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::runtime::{RuntimeConfig, RuntimeStats, ShardPool};
+use crate::runtime::{Backpressure, RuntimeConfig, RuntimeStats, ShardPool};
 use tps_random::{StreamRng, Xoshiro256};
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
-use tps_streams::spsc::Backpressure;
 use tps_streams::{
     CutCache, Item, MergeableSampler, QueryOptions, QuerySnapshot, SampleOutcome, SignedUpdate,
     SpaceUsage, StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
@@ -191,7 +190,7 @@ const RUNTIME_CHUNK: usize = 32 * 1024;
 /// ```
 /// use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
 /// use tps_core::lp::TrulyPerfectLpSampler;
-/// use tps_streams::spsc::Backpressure;
+/// use tps_core::Backpressure;
 ///
 /// let sampler = ShardedSamplerBuilder::new(4)
 ///     .strategy(ShardingStrategy::Hash)
@@ -741,7 +740,7 @@ where
     /// items per shard — to start it), the coordinator routes items into
     /// per-shard staging buffers and ships each as a
     /// [`chunk_len`](ShardedSampler::chunk_len)-sized chunk onto that
-    /// shard's SPSC ring;
+    /// shard's command ring;
     /// workers drain their rings through the engines' amortised
     /// `update_batch`. The call returns as soon as the batch is enqueued —
     /// chunks pipeline across shards with no spawn/join and no barrier per

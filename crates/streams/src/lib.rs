@@ -18,8 +18,6 @@
 //! * statistical utilities for comparing empirical sample distributions
 //!   against the exact target (total-variation distance, χ² statistics,
 //!   composition-bias measurements) ([`stats`]),
-//! * a bounded SPSC ring and the backpressure policy type behind the
-//!   persistent sharded runtime in `tps-core` ([`spsc`]),
 //! * the framed coordinator↔worker control protocol of the cross-process
 //!   ingest service ([`wire`]),
 //! * the typed query surface — consistency levels, options, reply
@@ -29,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod codec;
@@ -40,7 +39,6 @@ pub mod merge;
 pub mod model;
 pub mod query;
 pub mod space;
-pub mod spsc;
 pub mod stats;
 pub mod update;
 pub mod wire;
@@ -57,5 +55,4 @@ pub use model::{
 };
 pub use query::{CutCache, QueryCacheStats, QueryConsistency, QueryOptions, QuerySnapshot};
 pub use space::SpaceUsage;
-pub use spsc::Backpressure;
 pub use update::{Item, MatrixUpdate, SignedUpdate, StreamUpdate, Timestamp, WindowSpec};

@@ -61,7 +61,7 @@ pub use tps_window as window;
 
 pub use tps_core::lp::TrulyPerfectLpSampler;
 pub use tps_core::{
-    hash_route, QueryCacheStats, RuntimeStats, ShardedSampler, ShardedSamplerBuilder,
+    hash_route, Backpressure, QueryCacheStats, RuntimeStats, ShardedSampler, ShardedSamplerBuilder,
     ShardingStrategy, StrictTurnstileF0Sampler, TrulyPerfectGSampler,
 };
 // The typed query surface (shared by `ShardedSampler::query`, the
@@ -69,8 +69,8 @@ pub use tps_core::{
 pub use tps_service::{QueryClient, QueryError, QueryReport};
 pub use tps_streams::codec::migrate::upgrade_to_current;
 pub use tps_streams::{
-    Backpressure, CodecError, MergeableSampler, MergeableSummary, Restore, SampleOutcome,
-    SignedUpdate, SlidingWindowSampler, Snapshot, StreamSampler, TurnstileSampler,
+    CodecError, MergeableSampler, MergeableSummary, Restore, SampleOutcome, SignedUpdate,
+    SlidingWindowSampler, Snapshot, StreamSampler, TurnstileSampler,
 };
 pub use tps_streams::{QueryConsistency, QueryOptions, QuerySnapshot};
 

@@ -15,9 +15,9 @@ use std::path::PathBuf;
 
 use tps_core::lp::TrulyPerfectLpSampler;
 use tps_core::sharded::ShardedSampler;
+use tps_core::Backpressure;
 use tps_streams::codec::migrate::{migrate_v1_to_v2, upgrade_to_current};
 use tps_streams::codec::{peek_version, CodecError, Restore, FORMAT_VERSION};
-use tps_streams::spsc::Backpressure;
 
 /// Every file of the preserved v1 corpus.
 const V1_CORPUS_FILES: &[&str] = &[
