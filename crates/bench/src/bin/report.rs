@@ -237,6 +237,10 @@ fn print_checkpoint(bench: &exp::CheckpointBench) {
         bench.chain_bytes_vs_full
     );
     println!(
+        "checkpoint encode (mean)         : {:>10.1} us",
+        bench.encode_micros_mean
+    );
+    println!(
         "chain replay + restore           : {:>10.1} us (byte-identical: {})",
         bench.recovery_micros, bench.recovery_byte_identical
     );

@@ -1132,6 +1132,9 @@ pub struct CheckpointBench {
     pub full_over_delta: f64,
     /// Total bytes appended to the chain vs always writing full frames.
     pub chain_bytes_vs_full: f64,
+    /// Mean wall-clock per `checkpoint_bytes` call (delta encode, or the
+    /// full frame a rebase writes), µs.
+    pub encode_micros_mean: f64,
     /// Wall-clock to replay the whole chain and restore a sampler, µs.
     pub recovery_micros: f64,
     /// Whether the replayed state is byte-identical to the live sampler's
@@ -1164,12 +1167,15 @@ pub fn e14_checkpoint(stream_length: usize, universe: u64, checkpoints: usize) -
     let mut delta_bytes = 0usize;
     let mut delta_frames = 0usize;
     let mut full_frames = 0usize;
+    let mut encode_secs = 0.0;
     for (index, slice) in stream.chunks(slice_len).enumerate() {
         sampler.update_batch(slice);
         let epoch = index as u64 + 1;
         let full = sampler.snapshot();
         full_bytes += full.len();
+        let start = Instant::now();
         let frame = writer.checkpoint_bytes(full, epoch);
+        encode_secs += start.elapsed().as_secs_f64();
         if frame.is_delta() {
             delta_frames += 1;
             delta_bytes += frame.bytes().len();
@@ -1205,6 +1211,7 @@ pub fn e14_checkpoint(stream_length: usize, universe: u64, checkpoints: usize) -
         delta_frame_bytes_mean,
         full_over_delta: full_snapshot_bytes_mean / delta_frame_bytes_mean.max(1.0),
         chain_bytes_vs_full: chain_total as f64 / full_bytes.max(1) as f64,
+        encode_micros_mean: encode_secs / taken.max(1) as f64 * 1e6,
         recovery_micros,
         recovery_byte_identical,
     }

@@ -454,6 +454,7 @@ impl ToJson for exp::CheckpointBench {
             ),
             ("full_over_delta", self.full_over_delta.to_json()),
             ("chain_bytes_vs_full", self.chain_bytes_vs_full.to_json()),
+            ("encode_micros_mean", self.encode_micros_mean.to_json()),
             ("recovery_micros", self.recovery_micros.to_json()),
             (
                 "recovery_byte_identical",

@@ -28,7 +28,7 @@
 //! ## Coordinator durability
 //!
 //! The same argument is applied to the coordinator itself: before every
-//! checkpoint barrier it appends a [`Manifest`] — spec, barrier epoch,
+//! checkpoint barrier it commits a [`Manifest`] — spec, barrier epoch,
 //! chunks routed, per-shard endpoints and (untrimmed) replay buffers — to
 //! its own chain, fsynced *before* any worker is told to checkpoint (see
 //! `manifest.rs` for the case analysis). `resume_job` reconstructs the
@@ -490,38 +490,41 @@ struct Durability {
 }
 
 impl Durability {
-    fn persist<U: IngestPayload>(&mut self, manifest: &Manifest<U>) -> io::Result<()> {
+    fn persist(&mut self, manifest: Vec<u8>) -> io::Result<()> {
         self.seq += 1;
-        let frame = self.writer.checkpoint_bytes(manifest.encode(), self.seq);
-        self.store.append_frame(frame.bytes())?;
-        if !frame.is_delta() {
-            self.store.compact()?;
-        }
-        Ok(())
+        self.store
+            .commit(&self.writer.checkpoint_bytes(manifest, self.seq))
     }
 }
 
+/// Encodes the manifest of this barrier and persists it. The replay
+/// buffers are lent to the [`Manifest`] for the encode and taken back
+/// after it, instead of being copied.
 fn persist_manifest<U: IngestPayload>(
     durability: &mut Durability,
     spec: &JobSpec,
     epoch: u64,
     chunks_routed: u64,
-    workers: &[WorkerHandle<U>],
+    workers: &mut [WorkerHandle<U>],
 ) -> io::Result<()> {
     let manifest = Manifest {
         spec: spec.clone(),
         epoch,
         chunks_routed,
         shards: workers
-            .iter()
+            .iter_mut()
             .map(|worker| ShardState {
                 acked_epoch: worker.acked_epoch,
                 endpoint: worker.endpoint.clone(),
-                replay: worker.replay.clone(),
+                replay: std::mem::take(&mut worker.replay),
             })
             .collect(),
     };
-    durability.persist(&manifest)
+    let bytes = manifest.encode();
+    for (worker, shard) in workers.iter_mut().zip(manifest.shards) {
+        worker.replay = shard.replay;
+    }
+    durability.persist(bytes)
 }
 
 /// The routed stream-prefix length at a chunk cut (the final chunk may
@@ -608,7 +611,7 @@ fn drive_job<U: IngestPayload>(
             // The job is durable from the first moment it could need
             // resuming: a manifest at the zero cut covers death before the
             // first checkpoint.
-            persist_manifest(&mut durability, spec, 0, 0, &workers)?;
+            persist_manifest(&mut durability, spec, 0, 0, &mut workers)?;
         }
         Some(states) => {
             if states.len() != spec.workers {
@@ -676,7 +679,7 @@ fn drive_job<U: IngestPayload>(
             epoch += 1;
             // Durability order: the manifest recording this barrier's cut
             // is on disk before any worker is told to checkpoint.
-            persist_manifest(&mut durability, spec, epoch, chunks_routed, &workers)?;
+            persist_manifest(&mut durability, spec, epoch, chunks_routed, &mut workers)?;
             // With a live query plane, checkpoint barriers *publish*: the
             // same barrier round that makes the cut durable also hands
             // its snapshots to the cut cache.
@@ -944,7 +947,7 @@ mod tests {
             };
             let frame = IncrementalCheckpointer::new().checkpoint_bytes(manifest.encode(), 1);
             CheckpointStore::for_coordinator(&dir)
-                .append_frame(frame.bytes())
+                .commit(&frame)
                 .unwrap();
             let err = resume_job(&dir, None, &QueryPlan::default()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");

@@ -9,10 +9,12 @@
 //! ([`tps_streams::wire::transport`]) — stdin/stdout pipes or TCP — using
 //! the versioned framed protocol in [`tps_streams::wire`]:
 //!
-//! * **Checkpoint barriers** make every worker append an incremental
-//!   (delta) frame — [`tps_streams::codec::delta`] — to its on-disk chain
-//!   and ack; the acks let the coordinator trim its replay buffers.
-//!   Chains are garbage-collected after rebases ([`CheckpointStore::compact`]).
+//! * **Checkpoint barriers** make every worker commit an incremental
+//!   checkpoint frame — [`tps_streams::codec::delta`] — to its on-disk
+//!   chain and ack; the acks let the coordinator trim its replay buffers.
+//!   [`CheckpointStore::commit`] appends a delta frame, and a rebase
+//!   replaces the chain with its full frame in one atomic write, so the
+//!   chain never holds frames replay cannot reach.
 //! * **Query barriers** collect every worker's full sealed snapshot at a
 //!   consistent cut; the coordinator restores and fold-merges them in
 //!   shard order with the merge RNG seeded `seed ^ MERGE_SEED_SALT`, so

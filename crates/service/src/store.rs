@@ -2,9 +2,13 @@
 //! length-prefixed incremental frames ([`tps_streams::codec::delta`]).
 //!
 //! Layout: for each frame, a `u64` little-endian byte length followed by
-//! the sealed frame bytes. Appends write the frame and `sync_data` before
-//! the worker acks the checkpoint barrier — the ack is the coordinator's
-//! permission to drop its replay buffer, so durability must come first.
+//! the sealed frame bytes. [`CheckpointStore::commit`] makes a frame
+//! durable before the worker acks the checkpoint barrier — the ack is the
+//! coordinator's permission to drop its replay buffer, so durability must
+//! come first. A delta frame, or the first frame of a chain, is appended
+//! and `sync_data`ed; a full frame on a non-empty chain makes every frame
+//! before it unreachable, so it replaces the whole chain in one atomic
+//! write instead.
 //! Recovery tolerates a torn tail (a crash mid-append leaves a partial
 //! record): [`CheckpointStore::recover`] truncates the file back to the
 //! last complete record before the worker resumes, so post-restart
@@ -16,7 +20,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use tps_streams::codec::delta::{peek_frame, CheckpointReplayer, FrameKind};
+use tps_streams::codec::delta::{peek_frame, CheckpointFrame, CheckpointReplayer, FrameKind};
 
 /// One shard's append-only checkpoint chain.
 #[derive(Debug, Clone)]
@@ -72,6 +76,53 @@ impl CheckpointStore {
         file.write_all(&(frame.len() as u64).to_le_bytes())?;
         file.write_all(frame)?;
         file.sync_data()
+    }
+
+    /// Makes one checkpoint frame durable, in one write.
+    ///
+    /// A delta frame, or any frame on an empty chain, is appended
+    /// ([`Self::append_frame`]). A full frame on a non-empty chain is a
+    /// rebase: nothing before it can be replayed again, so the chain is
+    /// replaced by that one frame (temp file, fsync, rename, directory
+    /// fsync). The file is byte-identical to appending the frame and then
+    /// calling [`Self::compact`], without writing the frame twice or
+    /// reading the chain back. A crash before the rename leaves the old
+    /// chain, and a stale temp file the next replacement overwrites.
+    pub fn commit(&self, frame: &CheckpointFrame) -> io::Result<()> {
+        if frame.is_delta() || self.is_empty()? {
+            self.append_frame(frame.bytes())
+        } else {
+            self.replace([frame.bytes()])
+        }
+    }
+
+    /// Whether the chain holds no bytes (missing or zero-length file).
+    fn is_empty(&self) -> io::Result<bool> {
+        match std::fs::metadata(&self.path) {
+            Ok(meta) => Ok(meta.len() == 0),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(true),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Atomically replaces the chain file with `frames`: they go to a
+    /// temporary file, which is fsynced and renamed over the chain, and
+    /// then the directory is fsynced so the rename itself is durable. A
+    /// crash at any point leaves either the old chain or the new one.
+    fn replace<'a>(&self, frames: impl IntoIterator<Item = &'a [u8]>) -> io::Result<()> {
+        let tmp = self.path.with_extension("ckpt.tmp");
+        let mut file = File::create(&tmp)?;
+        for frame in frames {
+            file.write_all(&(frame.len() as u64).to_le_bytes())?;
+            file.write_all(frame)?;
+        }
+        file.sync_data()?;
+        drop(file);
+        std::fs::rename(&tmp, &self.path)?;
+        if let Some(parent) = self.path.parent() {
+            File::open(parent)?.sync_data()?;
+        }
+        Ok(())
     }
 
     /// Reads every complete frame in the chain (empty if the file does not
@@ -153,19 +204,15 @@ impl CheckpointStore {
 
     /// Garbage-collects the chain: drops every frame before the last
     /// *full* frame (a rebase makes its predecessors unreachable — replay
-    /// restarts at the newest full frame regardless). Returns the number
-    /// of frames pruned.
+    /// restarts at the newest full frame regardless), and a torn tail with
+    /// them. Returns the number of frames pruned.
     ///
-    /// The rewrite is crash-safe: the surviving suffix goes to a
-    /// temporary file, is fsynced, and is renamed over the chain
-    /// atomically (then the directory is fsynced so the rename itself is
-    /// durable). A crash at any point leaves either the old chain or the
-    /// new one — both replay to the identical state, which is exactly
-    /// what the GC byte-identity test pins.
-    ///
-    /// Callers invoke this right after appending a non-delta frame
-    /// (`!CheckpointFrame::is_delta()` — the checkpointer just rebased);
-    /// calling it at any other time is a correct no-op.
+    /// The surviving suffix is written with the same atomic replacement
+    /// as [`Self::commit`], so a crash at any point leaves either the old
+    /// chain or the new one — both replay to the identical state, which
+    /// is exactly what the GC byte-identity test pins. [`Self::commit`]
+    /// already leaves a rebased chain compact; calling this at any time is
+    /// correct, and a no-op on a compact chain.
     pub fn compact(&self) -> io::Result<usize> {
         let (frames, valid, file_len) = self.read_chain()?;
         let base = frames
@@ -175,19 +222,7 @@ impl CheckpointStore {
         if base == 0 && valid == file_len {
             return Ok(0); // nothing unreachable, no torn tail to shed
         }
-        let tmp = self.path.with_extension("ckpt.tmp");
-        let mut file = File::create(&tmp)?;
-        for frame in &frames[base..] {
-            file.write_all(&(frame.len() as u64).to_le_bytes())?;
-            file.write_all(frame)?;
-        }
-        file.sync_data()?;
-        drop(file);
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            // Make the rename durable: fsync the directory entry.
-            File::open(parent)?.sync_data()?;
-        }
+        self.replace(frames[base..].iter().map(Vec::as_slice))?;
         Ok(base)
     }
 }
@@ -343,6 +378,113 @@ mod tests {
         assert_eq!(chain.epoch, 2);
         assert_eq!(chain.snapshot, state);
         assert_eq!(store.load_frames().unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One length-prefixed record, as the chain file stores a frame.
+    fn record(frame: &[u8]) -> Vec<u8> {
+        let mut bytes = (frame.len() as u64).to_le_bytes().to_vec();
+        bytes.extend_from_slice(frame);
+        bytes
+    }
+
+    #[test]
+    fn commit_matches_append_then_compact_byte_for_byte() {
+        let dir = temp_dir("commit");
+        let committed = CheckpointStore::for_shard(&dir, 0);
+        let appended = CheckpointStore::for_shard(&dir, 1);
+        let _ = std::fs::remove_file(committed.path());
+        let _ = std::fs::remove_file(appended.path());
+        // Chain cap 2 rebases every third checkpoint; the fresh tail at
+        // epoch 7 is a rebase for size.
+        let mut writer = IncrementalCheckpointer::with_policy(2, 4);
+        let mut state = vec![0x33u8; 4096];
+        let mut rebases = 0;
+        for epoch in 1..=10u64 {
+            state[epoch as usize * 5] = epoch as u8;
+            if epoch == 7 {
+                state = (0..4096u32).map(|i| (i * 7 % 251) as u8).collect();
+            }
+            let frame = writer.checkpoint_bytes(state.clone(), epoch);
+            committed.commit(&frame).unwrap();
+            appended.append_frame(frame.bytes()).unwrap();
+            if !frame.is_delta() {
+                rebases += 1;
+                appended.compact().unwrap();
+                // A rebase leaves exactly its own frame on disk.
+                assert_eq!(
+                    std::fs::read(committed.path()).unwrap(),
+                    record(frame.bytes())
+                );
+            }
+            assert_eq!(
+                std::fs::read(committed.path()).unwrap(),
+                std::fs::read(appended.path()).unwrap(),
+                "chains diverged at epoch {epoch}"
+            );
+        }
+        assert!(rebases >= 3, "the chain must rebase mid-way: {rebases}");
+        let chain = committed.recover().unwrap().expect("chain recovers");
+        assert_eq!((chain.epoch, chain.snapshot), (10, state));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn first_commit_is_a_plain_append() {
+        let dir = temp_dir("first-commit");
+        let store = CheckpointStore::for_shard(&dir, 0);
+        let tmp = store.path().with_extension("ckpt.tmp");
+        let _ = std::fs::remove_file(store.path());
+        // A stale temp file survives: an append never touches it, a
+        // replacement would have renamed it over the chain.
+        std::fs::write(&tmp, b"stale").unwrap();
+        let frame = IncrementalCheckpointer::new().checkpoint_bytes(vec![4u8; 512], 1);
+        assert!(!frame.is_delta());
+        store.commit(&frame).unwrap();
+        assert_eq!(std::fs::read(store.path()).unwrap(), record(frame.bytes()));
+        assert_eq!(std::fs::read(&tmp).unwrap(), b"stale");
+        // An empty chain file counts as empty too.
+        std::fs::write(store.path(), b"").unwrap();
+        store.commit(&frame).unwrap();
+        assert_eq!(std::fs::read(store.path()).unwrap(), record(frame.bytes()));
+        assert_eq!(std::fs::read(&tmp).unwrap(), b"stale");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_temp_file_from_a_crashed_rebase_is_harmless() {
+        let dir = temp_dir("stale-tmp");
+        let store = CheckpointStore::for_shard(&dir, 0);
+        let tmp = store.path().with_extension("ckpt.tmp");
+        let _ = std::fs::remove_file(store.path());
+        let mut writer = IncrementalCheckpointer::with_policy(2, 2);
+        let mut state = vec![0x44u8; 4096];
+        for epoch in 1..=3u64 {
+            state[epoch as usize] = epoch as u8;
+            store
+                .commit(&writer.checkpoint_bytes(state.clone(), epoch))
+                .unwrap();
+        }
+        let before = std::fs::read(store.path()).unwrap();
+        // A crash before the rename: a half-written replacement is left
+        // beside the chain, which is untouched.
+        std::fs::write(&tmp, &before[..before.len() / 3]).unwrap();
+        let chain = store.recover().unwrap().expect("old chain recovers");
+        assert_eq!((chain.epoch, &chain.snapshot), (3, &state));
+        assert_eq!(std::fs::read(store.path()).unwrap(), before);
+
+        // The restarted writer's next rebase (the chain cap is reached)
+        // overwrites the stale temp file and renames it into place.
+        let mut writer =
+            IncrementalCheckpointer::resume_with_policy(2, 2, chain.epoch, chain.snapshot, 2);
+        state[99] = 0x99;
+        let frame = writer.checkpoint_bytes(state.clone(), 4);
+        assert!(!frame.is_delta());
+        store.commit(&frame).unwrap();
+        assert!(!tmp.exists(), "the temp file was renamed over the chain");
+        assert_eq!(std::fs::read(store.path()).unwrap(), record(frame.bytes()));
+        let chain = store.recover().unwrap().expect("new chain recovers");
+        assert_eq!((chain.epoch, chain.snapshot), (4, state));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

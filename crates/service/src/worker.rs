@@ -5,12 +5,12 @@
 //!
 //! Lifecycle per connection: recover from the on-disk chain (if any),
 //! announce the recovered epoch in `Hello`, then loop — apply `Ingest`
-//! chunks in arrival order; on a `Checkpoint` barrier append a delta
-//! frame durably *before* acking (and GC the chain when the checkpointer
-//! rebased); on a `Query` barrier ack with the full sealed snapshot; on a
-//! `CheckpointPublish` barrier do both — the checkpoint frame goes to
-//! disk *and* the ack carries the snapshot, feeding the coordinator's
-//! query-plane snapshot cache in the same round. The
+//! chunks in arrival order; on a `Checkpoint` barrier commit the
+//! checkpoint frame durably *before* acking (a rebase replaces the chain
+//! with its full frame); on a `Query` barrier ack with the full sealed
+//! snapshot; on a `CheckpointPublish` barrier do both from one snapshot —
+//! the checkpoint frame goes to disk *and* the ack carries the snapshot,
+//! feeding the coordinator's query-plane snapshot cache in the same round. The
 //! worker never sees the stream outside its shard and never touches the
 //! golden-corpus registry: its entire interface is the connection and the
 //! chain file.
@@ -145,18 +145,13 @@ where
             WireMessage::Barrier { epoch, kind } => {
                 let snapshot = match kind {
                     BarrierKind::Checkpoint | BarrierKind::CheckpointPublish => {
-                        let frame = checkpointer.checkpoint(&sampler, epoch);
-                        store.append_frame(frame.bytes())?;
-                        if !frame.is_delta() {
-                            // The checkpointer rebased: everything before
-                            // this full frame is unreachable — collect it.
-                            store.compact()?;
-                        }
-                        // A *publishing* checkpoint also acks the full
-                        // snapshot: one barrier round feeds both the
-                        // durable chain and the coordinator's snapshot
-                        // cache.
-                        (kind == BarrierKind::CheckpointPublish).then(|| sampler.snapshot())
+                        // One snapshot serves both ends of a publishing
+                        // checkpoint: the durable chain and the ack that
+                        // feeds the coordinator's cut cache.
+                        let full = sampler.snapshot();
+                        let ack = (kind == BarrierKind::CheckpointPublish).then(|| full.clone());
+                        store.commit(&checkpointer.checkpoint_bytes(full, epoch))?;
+                        ack
                     }
                     BarrierKind::Query => Some(sampler.snapshot()),
                 };
@@ -469,6 +464,78 @@ mod tests {
         );
         // And the same barrier made the cut durable.
         assert_eq!(store.recover().unwrap().unwrap().epoch, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A publishing checkpoint takes one snapshot for both of its ends:
+    /// the snapshot each ack carries is exactly the chain's reconstruction
+    /// at that epoch, for the full frame that opens the chain and for the
+    /// deltas after it.
+    #[test]
+    fn published_snapshots_equal_the_chain_at_each_epoch() {
+        use tps_streams::codec::delta::CheckpointReplayer;
+
+        let dir = temp_dir("publish-chain");
+        let cfg = WorkerConfig {
+            shard: 0,
+            sampler: SamplerKind::L2,
+            universe: 1 << 12,
+            seed: 37,
+            checkpoint_dir: dir.clone(),
+            listen: None,
+        };
+        let store = CheckpointStore::for_shard(&dir, 0);
+        let _ = std::fs::remove_file(store.path());
+
+        // A large first ingest, then small ones the chain records as deltas.
+        let mut messages = Vec::new();
+        for epoch in 1..=4u64 {
+            let len = if epoch == 1 { 3_000 } else { 20 };
+            messages.push(WireMessage::Ingest {
+                items: (0..len).map(|i| (i * epoch) % 211).collect(),
+            });
+            messages.push(WireMessage::Barrier {
+                epoch,
+                kind: BarrierKind::CheckpointPublish,
+            });
+        }
+        messages.push(WireMessage::Shutdown);
+        let (done, out) = converse(
+            &cfg,
+            || make_l2(cfg.universe, cfg.seed, cfg.shard),
+            &messages,
+        );
+        assert!(done);
+        let published: Vec<Vec<u8>> = out[1..]
+            .iter()
+            .map(|reply| match reply {
+                WireMessage::BarrierAck {
+                    snapshot: Some(bytes),
+                    ..
+                } => bytes.clone(),
+                other => panic!("expected publishing ack, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(published.len(), 4);
+
+        let frames = store.load_frames().unwrap();
+        assert!(
+            frames[1..]
+                .iter()
+                .any(|f| !matches!(peek_frame(f), Ok((FrameKind::Full, _)))),
+            "the chain must hold deltas after its base"
+        );
+        let mut replayer = CheckpointReplayer::new();
+        for frame in &frames {
+            replayer.apply(frame).unwrap();
+            let (epoch, bytes) = replayer.current().unwrap();
+            assert_eq!(
+                bytes,
+                published[epoch as usize - 1].as_slice(),
+                "ack at epoch {epoch} differs from the chain"
+            );
+        }
+        assert_eq!(replayer.current().unwrap().0, 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -27,6 +27,22 @@
 //! [`Restore`](super::Restore) type recovers exactly as from a plain
 //! snapshot.
 //!
+//! ## Encoder cost
+//!
+//! The delta encoder indexes the base's block-aligned windows and scans
+//! the target once under a rolling hash: `O(|base| + |target|)` expected.
+//! A bitmap over the base's block hashes rules out almost every scan
+//! position with one bit test, so only a window that may occur in the
+//! base costs an index lookup. [`IncrementalCheckpointer`] also gives the
+//! scan a literal budget of `full.len() / rebase_denominator` bytes: a
+//! delta with more literal bytes than that is larger than the size rule
+//! allows, so the scan stops there and the checkpointer writes the full
+//! frame it would have written anyway. A snapshot that shares little with
+//! its base — a coordinator manifest whose replay buffers never repeat —
+//! then costs a scan of about half of it (at the default denominator)
+//! instead of all of it. The budget changes when the scan stops, never
+//! which frames are written or their bytes.
+//!
 //! ## Frame layout (inside the standard sealed envelope, tag
 //! [`tag::CHECKPOINT_FRAME`])
 //!
@@ -54,7 +70,6 @@
 //! there).
 
 use super::{checksum, seal, tag, CodecError, Snapshot, SnapshotReader, SnapshotWriter};
-use crate::fasthash::FastHashMap;
 
 /// Matching granularity of the delta encoder: the minimum run of identical
 /// bytes worth a copy op (16 bytes of op header + 1 of kind). Two map
@@ -103,7 +118,18 @@ pub fn encode_full_frame(epoch: u64, snapshot_bytes: &[u8]) -> Vec<u8> {
 /// from `base` (the previous checkpoint's snapshot bytes, at `base_epoch`)
 /// to `target` (the current snapshot bytes, at `epoch`).
 pub fn encode_delta_frame(base_epoch: u64, base: &[u8], epoch: u64, target: &[u8]) -> Vec<u8> {
-    let ops = diff_ops(base, target);
+    let ops = diff_ops(base, target, usize::MAX).expect("an unbounded scan never gives up");
+    write_delta_frame(base_epoch, base, epoch, target, &ops)
+}
+
+/// Seals the delta frame for `ops` (offsets into `target` and `base`).
+fn write_delta_frame(
+    base_epoch: u64,
+    base: &[u8],
+    epoch: u64,
+    target: &[u8],
+    ops: &[DiffOp],
+) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.put_tag(tag::CHECKPOINT_FRAME);
     w.put_u8(KIND_DELTA);
@@ -115,7 +141,7 @@ pub fn encode_delta_frame(base_epoch: u64, base: &[u8], epoch: u64, target: &[u8
     w.put_u64(checksum(target));
     w.put_len(ops.len());
     let mut payload = w.into_bytes();
-    for op in &ops {
+    for op in ops {
         match op {
             DiffOp::Copy { base_off, len } => {
                 payload.push(0);
@@ -159,71 +185,181 @@ enum DiffOp {
     Literal { start: usize, len: usize },
 }
 
+/// `ROLL^8`, the weight between two 8-byte lanes of [`hash_block`].
+const ROLL_8: u64 = ROLL.wrapping_pow(8);
+
+/// The rolling hash of one [`BLOCK`]-byte window, `Σ b[i]·ROLL^(BLOCK-1-i)`
+/// over `u64`. Evaluated as 8-byte lanes that do not depend on each
+/// other, so their multiplies overlap; the value is that of folding the
+/// window byte by byte.
+fn hash_block(block: &[u8]) -> u64 {
+    block.chunks_exact(8).fold(0u64, |h, lane| {
+        let lane = lane
+            .iter()
+            .fold(0u64, |l, &b| l.wrapping_mul(ROLL).wrapping_add(b as u64));
+        h.wrapping_mul(ROLL_8).wrapping_add(lane)
+    })
+}
+
+/// A window's index key: its hash times a Fibonacci constant. This is a
+/// bijection, so equal keys are equal hashes, and it moves well-mixed bits
+/// to the top, where buckets and filter bits are read (the low bits of the
+/// rolling hash are weak: the lowest is the parity of the window's bytes).
+fn block_key(hash: u64) -> u64 {
+    hash.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// log2 of the prefilter bits per index bucket: with 16 bits, and about
+/// one indexed block per bucket, a window whose hash is not in the index
+/// passes the filter about once in 16 positions.
+const FILTER_BITS_PER_BUCKET_LOG2: u32 = 4;
+
+/// The base's block-aligned windows, indexed for the scan of the target.
+///
+/// `entries` holds `(key, offset)` pairs sorted, keeping per key the first
+/// [`MAX_CANDIDATES`] offsets in ascending order — the candidates a scan
+/// position tries, in the order it tries them. The top bits of a key name
+/// its bucket, `entries[starts[b]..starts[b + 1]]`, and its bit in
+/// `filter`, a bitmap that rules out almost every scan position before
+/// `starts` or `entries` is read.
+struct BlockIndex {
+    entries: Vec<(u64, usize)>,
+    starts: Vec<usize>,
+    filter: Vec<u64>,
+    /// `64 - log2(bucket count)`: a key's bucket is `key >> bucket_shift`.
+    bucket_shift: u32,
+}
+
+impl BlockIndex {
+    fn new(base: &[u8]) -> Self {
+        let mut entries: Vec<(u64, usize)> = base
+            .chunks_exact(BLOCK)
+            .enumerate()
+            .map(|(i, block)| (block_key(hash_block(block)), i * BLOCK))
+            .collect();
+        entries.sort_unstable();
+        let mut previous = None;
+        let mut run = 0;
+        entries.retain(|&(key, _)| {
+            run = if previous == Some(key) { run + 1 } else { 1 };
+            previous = Some(key);
+            run <= MAX_CANDIDATES
+        });
+        // At least 4 buckets, so the filter is at least one word.
+        let bucket_bits = entries.len().next_power_of_two().trailing_zeros().max(2);
+        let bucket_shift = 64 - bucket_bits;
+        let mut starts = vec![0; (1 << bucket_bits) + 1];
+        let mut filter = vec![0; 1 << (bucket_bits + FILTER_BITS_PER_BUCKET_LOG2 - 6)];
+        for &(key, _) in &entries {
+            starts[(key >> bucket_shift) as usize + 1] += 1;
+            let bit = key >> (bucket_shift - FILTER_BITS_PER_BUCKET_LOG2);
+            filter[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        Self {
+            entries,
+            starts,
+            filter,
+            bucket_shift,
+        }
+    }
+
+    /// Whether a window hashing to `hash` may occur in the base: `false`
+    /// rules it out without reading `starts` or `entries`.
+    fn may_contain(&self, hash: u64) -> bool {
+        let bit = block_key(hash) >> (self.bucket_shift - FILTER_BITS_PER_BUCKET_LOG2);
+        self.filter[(bit / 64) as usize] & (1 << (bit % 64)) != 0
+    }
+
+    /// The base offsets whose block hashes to `hash`, ascending.
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let key = block_key(hash);
+        let b = (key >> self.bucket_shift) as usize;
+        self.entries[self.starts[b]..self.starts[b + 1]]
+            .iter()
+            .skip_while(move |&&(k, _)| k < key)
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, off)| off)
+    }
+}
+
 /// Greedy content-defined matching from `target` back into `base`:
 /// indexes `base` in [`BLOCK`]-sized steps under a rolling hash, then
 /// scans `target` once, emitting maximal verified copies and literal runs
-/// for everything else. `O(|base| + |target|)` expected.
-fn diff_ops(base: &[u8], target: &[u8]) -> Vec<DiffOp> {
+/// for everything else. `O(|base| + |target|)` expected; a bitmap
+/// prefilter over the base's block hashes (see [`BlockIndex`]) keeps the
+/// cost of a position whose window is not in the base to the hash roll
+/// and one bit test.
+///
+/// `literal_budget` bounds the literal bytes the ops may carry: the scan
+/// gives up with `None` as soon as the literal run it has committed to
+/// passes it, so a target that shares little with its base costs a scan
+/// of about `literal_budget` bytes rather than all of `target`. The ops of
+/// a scan that finishes do not depend on the budget.
+fn diff_ops(base: &[u8], target: &[u8], literal_budget: usize) -> Option<Vec<DiffOp>> {
     let mut ops = Vec::new();
     if target.is_empty() {
-        return ops;
+        return Some(ops);
     }
     if base.len() < BLOCK || target.len() < BLOCK {
+        if target.len() > literal_budget {
+            return None;
+        }
         ops.push(DiffOp::Literal {
             start: 0,
             len: target.len(),
         });
-        return ops;
+        return Some(ops);
     }
-    // `ROLL^(BLOCK-1)` for removing the outgoing byte from the rolling hash.
-    let mut top = 1u64;
-    for _ in 0..BLOCK - 1 {
-        top = top.wrapping_mul(ROLL);
-    }
-    let hash_block = |block: &[u8]| -> u64 {
-        block
-            .iter()
-            .fold(0u64, |h, &b| h.wrapping_mul(ROLL).wrapping_add(b as u64))
+    // Slides the window one byte: `ROLL^(BLOCK-1)` removes the outgoing
+    // byte's weight.
+    let top = ROLL.wrapping_pow(BLOCK as u32 - 1);
+    let roll = |hash: u64, outgoing: u8, incoming: u8| {
+        hash.wrapping_sub((outgoing as u64).wrapping_mul(top))
+            .wrapping_mul(ROLL)
+            .wrapping_add(incoming as u64)
     };
     // Index the base at block-aligned offsets (non-overlapping: enough for
     // long stable runs, and |base|/BLOCK entries instead of |base|).
-    let mut index: FastHashMap<u64, Vec<usize>> = FastHashMap::default();
-    let mut off = 0;
-    while off + BLOCK <= base.len() {
-        let candidates = index
-            .entry(hash_block(&base[off..off + BLOCK]))
-            .or_default();
-        if candidates.len() < MAX_CANDIDATES {
-            candidates.push(off);
-        }
-        off += BLOCK;
-    }
+    let index = BlockIndex::new(base);
 
+    // Literal bytes still allowed: `target[literal_start..pos]` is already
+    // committed to a literal, because the scan never moves backwards.
+    let mut literal_left = literal_budget;
     let mut literal_start = 0usize;
     let mut pos = 0usize;
     let mut rolling = hash_block(&target[0..BLOCK]);
     while pos + BLOCK <= target.len() {
+        // Roll past the windows the prefilter rules out, the common case,
+        // as far as the target and the budget allow; the one-byte step
+        // below handles both limits.
+        let last = (target.len() - BLOCK).min(literal_start.saturating_add(literal_left));
+        while pos < last && !index.may_contain(rolling) {
+            rolling = roll(rolling, target[pos], target[pos + BLOCK]);
+            pos += 1;
+        }
         let mut matched = None;
-        if let Some(candidates) = index.get(&rolling) {
-            for &base_off in candidates {
-                if base[base_off..base_off + BLOCK] == target[pos..pos + BLOCK] {
-                    // Extend the verified match forward as far as it goes.
-                    let mut len = BLOCK;
-                    while base_off + len < base.len()
-                        && pos + len < target.len()
-                        && base[base_off + len] == target[pos + len]
-                    {
-                        len += 1;
-                    }
-                    match matched {
-                        Some((_, best)) if best >= len => {}
-                        _ => matched = Some((base_off, len)),
-                    }
+        for base_off in index.candidates(rolling) {
+            if base[base_off..base_off + BLOCK] == target[pos..pos + BLOCK] {
+                // Extend the verified match forward as far as it goes.
+                let mut len = BLOCK;
+                while base_off + len < base.len()
+                    && pos + len < target.len()
+                    && base[base_off + len] == target[pos + len]
+                {
+                    len += 1;
+                }
+                match matched {
+                    Some((_, best)) if best >= len => {}
+                    _ => matched = Some((base_off, len)),
                 }
             }
         }
         if let Some((base_off, len)) = matched {
             if literal_start < pos {
+                literal_left -= pos - literal_start;
                 ops.push(DiffOp::Literal {
                     start: literal_start,
                     len: pos - literal_start,
@@ -236,24 +372,27 @@ fn diff_ops(base: &[u8], target: &[u8]) -> Vec<DiffOp> {
                 rolling = hash_block(&target[pos..pos + BLOCK]);
             }
         } else {
+            pos += 1;
+            if pos - literal_start > literal_left {
+                return None;
+            }
             // Roll one byte forward (skipped at the very tail, where the
             // window can no longer shift and the loop is about to exit).
-            pos += 1;
             if pos + BLOCK <= target.len() {
-                rolling = rolling
-                    .wrapping_sub((target[pos - 1] as u64).wrapping_mul(top))
-                    .wrapping_mul(ROLL)
-                    .wrapping_add(target[pos + BLOCK - 1] as u64);
+                rolling = roll(rolling, target[pos - 1], target[pos + BLOCK - 1]);
             }
         }
     }
     if literal_start < target.len() {
+        if target.len() - literal_start > literal_left {
+            return None;
+        }
         ops.push(DiffOp::Literal {
             start: literal_start,
             len: target.len() - literal_start,
         });
     }
-    ops
+    Some(ops)
 }
 
 /// Applies a sealed **delta** frame to `base` (the previous checkpoint's
@@ -511,41 +650,42 @@ impl IncrementalCheckpointer {
 
     /// [`Self::checkpoint`] over already-encoded snapshot bytes (for
     /// callers that need the snapshot for something else too).
+    ///
+    /// The frame is exactly what [`encode_delta_frame`] plus the size rule
+    /// would give, but a delta that cannot pass the rule costs only part
+    /// of a scan: any delta carries more bytes than its literals, so once
+    /// those pass `full.len() / rebase_denominator` the delta is too large
+    /// and the scan stops there.
     pub fn checkpoint_bytes(&mut self, full: Vec<u8>, epoch: u64) -> CheckpointFrame {
-        if let Some((base_epoch, base)) = &self.base {
-            assert!(
-                epoch > *base_epoch,
-                "checkpoint epochs must be strictly increasing"
-            );
-            if self.deltas_since_base < self.max_chain {
-                let delta = encode_delta_frame(*base_epoch, base, epoch, &full);
-                if delta.len().saturating_mul(self.rebase_denominator) <= full.len() {
-                    self.base = Some((epoch, full));
-                    self.deltas_since_base += 1;
-                    return CheckpointFrame::Delta { bytes: delta };
+        let reason = match &self.base {
+            None => RebaseReason::FirstFrame,
+            Some((base_epoch, base)) => {
+                assert!(
+                    epoch > *base_epoch,
+                    "checkpoint epochs must be strictly increasing"
+                );
+                if self.deltas_since_base >= self.max_chain {
+                    RebaseReason::ChainCap
+                } else {
+                    let budget = full.len() / self.rebase_denominator;
+                    if let Some(ops) = diff_ops(base, &full, budget) {
+                        let delta = write_delta_frame(*base_epoch, base, epoch, &full, &ops);
+                        if delta.len().saturating_mul(self.rebase_denominator) <= full.len() {
+                            self.base = Some((epoch, full));
+                            self.deltas_since_base += 1;
+                            return CheckpointFrame::Delta { bytes: delta };
+                        }
+                    }
+                    RebaseReason::DeltaTooLarge
                 }
-                let frame = encode_full_frame(epoch, &full);
-                self.base = Some((epoch, full));
-                self.deltas_since_base = 0;
-                return CheckpointFrame::Full {
-                    bytes: frame,
-                    reason: RebaseReason::DeltaTooLarge,
-                };
             }
-            let frame = encode_full_frame(epoch, &full);
-            self.base = Some((epoch, full));
-            self.deltas_since_base = 0;
-            return CheckpointFrame::Full {
-                bytes: frame,
-                reason: RebaseReason::ChainCap,
-            };
-        }
+        };
         let frame = encode_full_frame(epoch, &full);
         self.base = Some((epoch, full));
         self.deltas_since_base = 0;
         CheckpointFrame::Full {
             bytes: frame,
-            reason: RebaseReason::FirstFrame,
+            reason,
         }
     }
 }
@@ -614,6 +754,7 @@ impl CheckpointReplayer {
 mod tests {
     use super::*;
     use crate::codec::Restore;
+    use proptest::prelude::*;
     use tps_random::{StreamRng, Xoshiro256};
 
     fn pseudo_bytes(len: usize, seed: u64) -> Vec<u8> {
@@ -767,5 +908,88 @@ mod tests {
             empty.apply(frames[1].bytes()),
             Err(CodecError::InvalidValue { .. })
         ));
+    }
+
+    /// A base shape for the encoder-equivalence property: random, empty,
+    /// shorter than one block, or sparse (mostly zero bytes, so most blocks
+    /// are equal and their hash runs pass [`MAX_CANDIDATES`]).
+    fn base_shaped(shape: u8, len: usize, seed: u64) -> Vec<u8> {
+        match shape {
+            0 => pseudo_bytes(len, seed),
+            1 => Vec::new(),
+            2 => pseudo_bytes(len % BLOCK, seed),
+            _ => pseudo_bytes(len, seed)
+                .iter()
+                .map(|&b| u8::from(b < 4))
+                .collect(),
+        }
+    }
+
+    /// A target shape derived from `base`: unrelated, point-edited,
+    /// shifted by an insert or a delete, empty, shorter than one block,
+    /// identical, truncated, or extended by a fresh tail.
+    fn target_shaped(shape: u8, base: &[u8], seed: u64) -> Vec<u8> {
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xD1FF);
+        let mut at = |bound: usize| (rng.next_u64() % (bound as u64 + 1)) as usize;
+        let mut target = base.to_vec();
+        match shape {
+            0 => target = pseudo_bytes(base.len() + at(64), seed ^ 1),
+            1 => {
+                for _ in 0..1 + at(40) {
+                    let pos = at(target.len());
+                    if let Some(byte) = target.get_mut(pos) {
+                        *byte ^= 0xA5;
+                    }
+                }
+            }
+            2 => {
+                let pos = at(target.len());
+                if at(1) == 0 {
+                    target.splice(pos..pos, pseudo_bytes(1 + at(70), seed ^ 2));
+                } else {
+                    let end = (pos + 1 + at(70)).min(target.len());
+                    target.drain(pos..end);
+                }
+            }
+            3 => target.clear(),
+            4 => target = pseudo_bytes(at(BLOCK - 1), seed ^ 3),
+            5 => {}
+            6 => target.truncate(at(target.len())),
+            _ => target.extend(pseudo_bytes(at(3 * base.len() + 64), seed ^ 4)),
+        }
+        target
+    }
+
+    proptest! {
+        /// The budgeted scan changes no byte: for every base, target and
+        /// rebase denominator, `checkpoint_bytes` emits the frame of the
+        /// unbounded `encode_delta_frame` when that passes the size rule,
+        /// and a full frame otherwise.
+        #[test]
+        fn budgeted_checkpoint_matches_the_unbounded_encoder(
+            base_shape in 0u8..4,
+            target_shape in 0u8..8,
+            len in 0usize..6_000,
+            seed in any::<u64>(),
+            denominator in 1usize..=16,
+        ) {
+            let base = base_shaped(base_shape, len, seed);
+            let target = target_shaped(target_shape, &base, seed);
+            let delta = encode_delta_frame(3, &base, 4, &target);
+            let expected = if delta.len().saturating_mul(denominator) <= target.len() {
+                (true, delta)
+            } else {
+                (false, encode_full_frame(4, &target))
+            };
+            let mut writer = IncrementalCheckpointer::resume_with_policy(
+                DEFAULT_MAX_CHAIN,
+                denominator,
+                3,
+                base,
+                0,
+            );
+            let frame = writer.checkpoint_bytes(target, 4);
+            prop_assert_eq!((frame.is_delta(), frame.bytes().to_vec()), expected);
+        }
     }
 }

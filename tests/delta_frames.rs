@@ -250,3 +250,91 @@ fn oversized_length_fields_fail_before_allocating() {
     assert_eq!(unwrap_full_frame(&full).unwrap(), (base.clone(), 1));
     assert_eq!(peek_frame(&full).unwrap(), (FrameKind::Full, 1));
 }
+
+/// SplitMix64 step: the fixture generator of the golden chain below, kept
+/// local so the digest depends on nothing but this file and the encoder.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A manifest-shaped snapshot: a fixed header, then a payload of skewed
+/// little-endian `u64` items drawn fresh on every call — the coordinator's
+/// replay buffers, which never repeat between barriers.
+fn manifest_shaped(state: &mut u64, items: usize) -> Vec<u8> {
+    let mut bytes: Vec<u8> = (0..96u8).collect();
+    for _ in 0..items {
+        let z = splitmix(state);
+        let item = if z.is_multiple_of(4) {
+            z % 5
+        } else {
+            (z >> 8) % 4_096
+        };
+        bytes.extend_from_slice(&item.to_le_bytes());
+    }
+    bytes
+}
+
+/// The encoder's output is pinned byte for byte: a fixed mixed chain —
+/// manifest-shaped rebases, point edits, shifting inserts, truncations,
+/// growth, an emptied state and sub-block states — under four rebase
+/// policies, digested frame by frame. The digest was recorded before the
+/// budgeted delta scan and its prefilter landed; any change to which
+/// frames are deltas, or to their bytes, moves it.
+#[test]
+fn mixed_chain_frames_match_the_golden_digest() {
+    let mut digest_input = Vec::new();
+    let mut kinds = [0usize; 2];
+    for &(max_chain, denominator) in &[(64u32, 2usize), (8, 1), (3, 4), (64, 16)] {
+        let mut rng = 0x5EED ^ u64::from(max_chain) ^ ((denominator as u64) << 32);
+        let mut writer = IncrementalCheckpointer::with_policy(max_chain, denominator);
+        let mut state = manifest_shaped(&mut rng, 2_048);
+        for epoch in 1..=60u64 {
+            match epoch % 10 {
+                // Manifest-shaped: the whole payload is new.
+                0 | 5 => state = manifest_shaped(&mut rng, 1_024 + (epoch as usize) * 16),
+                // A few point edits.
+                1 | 6 => {
+                    for _ in 0..1 + epoch % 7 {
+                        let at = (splitmix(&mut rng) as usize) % state.len().max(1);
+                        if let Some(byte) = state.get_mut(at) {
+                            *byte ^= 0x5A;
+                        }
+                    }
+                }
+                // An insertion that shifts the tail.
+                2 => {
+                    let at = (splitmix(&mut rng) as usize) % (state.len() + 1);
+                    let inserted: Vec<u8> = (0..1 + epoch % 40).map(|i| i as u8).collect();
+                    state.splice(at..at, inserted);
+                }
+                // Truncation to a shorter state.
+                3 => state.truncate(state.len() * 3 / 4),
+                // Growth by a fresh tail of varying size.
+                4 | 8 => {
+                    let extra = manifest_shaped(&mut rng, (epoch as usize) * 8);
+                    state.extend_from_slice(&extra[96..]);
+                }
+                // Emptied, then shorter than one matching block.
+                7 => state.clear(),
+                _ => state = (0..(epoch % 31) as u8).collect(),
+            }
+            let frame = writer.checkpoint_bytes(state.clone(), epoch);
+            kinds[usize::from(frame.is_delta())] += 1;
+            digest_input.extend_from_slice(&(frame.bytes().len() as u64).to_le_bytes());
+            digest_input.extend_from_slice(frame.bytes());
+        }
+    }
+    assert!(
+        kinds[0] > 0 && kinds[1] > 0,
+        "the golden chain must mix full and delta frames: {kinds:?}"
+    );
+    assert_eq!(
+        format!("{:016x}", checksum(&digest_input)),
+        "a643e3c9585bdcf5",
+        "delta encoder output changed: {kinds:?} full/delta frames"
+    );
+}
