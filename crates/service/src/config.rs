@@ -16,6 +16,7 @@
 //! transport, chunking — from its chain alone.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use tps_core::f0::TrulyPerfectF0Sampler;
 use tps_core::framework::MeasureNormalizer;
@@ -23,9 +24,10 @@ use tps_core::lp::TrulyPerfectLpSampler;
 use tps_core::turnstile::StrictTurnstileF0Sampler;
 use tps_core::TrulyPerfectGSampler;
 use tps_random::{StreamRng, Xoshiro256};
-use tps_streams::codec::{CodecError, SnapshotReader, SnapshotWriter};
-use tps_streams::generators::zipfian_stream;
+use tps_streams::codec::{CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
+use tps_streams::generators::ZipfTable;
 use tps_streams::measure::Huber;
+use tps_streams::wire::IngestPayload;
 use tps_streams::{Item, SignedUpdate};
 
 /// The Huber G-sampler variant the service's `g` kind runs.
@@ -124,37 +126,238 @@ const STREAM_SALT: u64 = 0x57E4_0A4B_5F00_D5EE;
 /// hot (the regime delta checkpoints are built for).
 pub const STREAM_ALPHA: f64 = 1.2;
 
-/// The deterministic hot-shard Zipf workload for a job: both the
-/// coordinator and the single-process reference generate exactly this.
-pub fn job_stream(universe: u64, count: usize, seed: u64) -> Vec<Item> {
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ STREAM_SALT);
-    zipfian_stream(&mut rng, universe, count, STREAM_ALPHA)
-}
-
 /// Extra salt separating the turnstile workload's delete coins from the
 /// item draws.
 const DELETE_SALT: u64 = 0xD31E_7E00_0000_0001;
+
+/// The deterministic hot-shard Zipf workload for a job: both the
+/// coordinator and the single-process reference generate exactly this.
+/// It is the whole of a fresh [`JobCursor`], drained in one chunk.
+pub fn job_stream(universe: u64, count: usize, seed: u64) -> Vec<Item> {
+    whole_stream(universe, count, seed)
+}
 
 /// The deterministic *strict-turnstile* workload for a `turnstile` job:
 /// the [`job_stream`] Zipf items reinterpreted as signed updates, where
 /// roughly a quarter of the touches delete one unit of an item that still
 /// has positive count. Counts never go negative (the strict-turnstile
 /// promise), and both the coordinator and the reference generate exactly
-/// this sequence.
+/// this sequence. It is the whole of a fresh signed [`JobCursor`].
 pub fn job_signed_stream(universe: u64, count: usize, seed: u64) -> Vec<SignedUpdate> {
-    let items = job_stream(universe, count, seed);
-    let mut coins = Xoshiro256::seed_from_u64(seed ^ STREAM_SALT ^ DELETE_SALT);
-    let mut live: std::collections::HashMap<Item, i64> = std::collections::HashMap::new();
-    items
-        .into_iter()
-        .map(|item| {
-            let entry = live.entry(item).or_insert(0);
-            let delete = *entry > 0 && coins.next_u64().is_multiple_of(4);
+    whole_stream(universe, count, seed)
+}
+
+/// A fresh cursor's stream, drawn as one chunk.
+fn whole_stream<U: JobUpdate>(universe: u64, count: usize, seed: u64) -> Vec<U> {
+    let mut stream = Vec::new();
+    JobCursor::new(universe, count, seed, count.max(1), U::SIGNED).next_chunk(&mut stream);
+    stream
+}
+
+/// The job's workload as a resumable cursor: it yields, chunk by chunk,
+/// exactly the updates [`job_stream`] / [`job_signed_stream`] return, and
+/// its whole state fits in a manifest:
+///
+/// * the Xoshiro state of the item draws;
+/// * for a signed (turnstile) cursor, the Xoshiro state of the delete
+///   coins and every item's live count, dense over the universe;
+/// * the number of chunks already yielded.
+///
+/// So the coordinator keeps cursors instead of copies of the stream: a
+/// clone of a cursor regenerates any stretch of the stream on demand. The
+/// Zipf table is rebuilt from the spec, never stored, and clones share it.
+#[derive(Debug, Clone)]
+pub struct JobCursor {
+    table: Arc<ZipfTable>,
+    count: usize,
+    chunk: usize,
+    chunks: u64,
+    items: Xoshiro256,
+    signs: Option<Signs>,
+}
+
+/// A signed cursor's extra state.
+#[derive(Debug, Clone)]
+struct Signs {
+    coins: Xoshiro256,
+    live: Vec<i64>,
+}
+
+impl JobCursor {
+    fn new(universe: u64, count: usize, seed: u64, chunk: usize, signed: bool) -> Self {
+        assert!(chunk > 0, "chunk size must be positive");
+        Self {
+            table: Arc::new(ZipfTable::new(universe, STREAM_ALPHA)),
+            count,
+            chunk,
+            chunks: 0,
+            items: Xoshiro256::seed_from_u64(seed ^ STREAM_SALT),
+            signs: signed.then(|| Signs {
+                coins: Xoshiro256::seed_from_u64(seed ^ STREAM_SALT ^ DELETE_SALT),
+                live: vec![0; universe as usize],
+            }),
+        }
+    }
+
+    /// A cursor at the start of `spec`'s stream, yielding `spec.chunk`
+    /// updates per chunk (signed for the turnstile kind).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has a zero universe or chunk size (a spec that
+    /// fails [`JobSpec::validate`]).
+    pub fn for_spec(spec: &JobSpec) -> Self {
+        Self::new(
+            spec.universe,
+            spec.count,
+            spec.seed,
+            spec.chunk,
+            spec.sampler.is_turnstile(),
+        )
+    }
+
+    /// Chunks yielded so far: the cursor's position in the stream.
+    pub fn chunks(&self) -> u64 {
+        self.chunks
+    }
+
+    /// Chunks in the whole stream.
+    pub fn total_chunks(&self) -> u64 {
+        self.count.div_ceil(self.chunk) as u64
+    }
+
+    /// Replaces `out`'s contents with the next chunk and returns `true`,
+    /// or empties `out` and returns `false` once the stream is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `U` is signed and the cursor is not, or the reverse.
+    pub fn next_chunk<U: JobUpdate>(&mut self, out: &mut Vec<U>) -> bool {
+        assert_eq!(
+            U::SIGNED,
+            self.signs.is_some(),
+            "cursor drawn as the wrong update type"
+        );
+        out.clear();
+        if self.chunks >= self.total_chunks() {
+            return false;
+        }
+        let start = self.chunks as usize * self.chunk;
+        let len = self.chunk.min(self.count - start);
+        out.reserve(len);
+        U::draw(self, len, out);
+        self.chunks += 1;
+        true
+    }
+
+    /// Serializes the cursor's state into an open snapshot.
+    pub fn encode_into(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.chunks);
+        self.items.encode_into(w);
+        match &self.signs {
+            None => w.put_u8(0),
+            Some(signs) => {
+                w.put_u8(1);
+                signs.coins.encode_into(w);
+                w.put_len(signs.live.len());
+                for &count in &signs.live {
+                    w.put_i64(count);
+                }
+            }
+        }
+    }
+
+    /// Reads a cursor written by [`Self::encode_into`] for `spec`'s stream.
+    /// The state must fit the spec: its position inside the stream, signed
+    /// exactly for the turnstile kind, one non-negative live count per
+    /// universe item. `spec` must pass [`JobSpec::validate`].
+    pub fn decode_from(r: &mut SnapshotReader<'_>, spec: &JobSpec) -> Result<Self, CodecError> {
+        let chunks = r.get_u64()?;
+        let items = Xoshiro256::decode_from(r)?;
+        let signs = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let coins = Xoshiro256::decode_from(r)?;
+                let len = r.get_len(8)?;
+                if len as u64 != spec.universe {
+                    return Err(CodecError::InvalidValue {
+                        what: "cursor live counts do not span the universe",
+                    });
+                }
+                let mut live = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let count = r.get_i64()?;
+                    if count < 0 {
+                        return Err(CodecError::InvalidValue {
+                            what: "cursor live count is negative",
+                        });
+                    }
+                    live.push(count);
+                }
+                Some(Signs { coins, live })
+            }
+            _ => {
+                return Err(CodecError::InvalidValue {
+                    what: "cursor signs option flag",
+                })
+            }
+        };
+        if signs.is_some() != spec.sampler.is_turnstile() {
+            return Err(CodecError::InvalidValue {
+                what: "cursor signedness does not match the sampler kind",
+            });
+        }
+        let cursor = Self {
+            table: Arc::new(ZipfTable::new(spec.universe, STREAM_ALPHA)),
+            count: spec.count,
+            chunk: spec.chunk,
+            chunks,
+            items,
+            signs,
+        };
+        if cursor.chunks > cursor.total_chunks() {
+            return Err(CodecError::InvalidValue {
+                what: "cursor position is past the end of the stream",
+            });
+        }
+        Ok(cursor)
+    }
+}
+
+/// The update types a job's workload comes in: unit items for the
+/// insertion-only kinds, signed updates for `turnstile`.
+pub trait JobUpdate: IngestPayload {
+    /// Whether this type is drawn from a signed (turnstile) cursor.
+    const SIGNED: bool;
+
+    /// Appends the cursor's next `len` updates to `out`.
+    fn draw(cursor: &mut JobCursor, len: usize, out: &mut Vec<Self>);
+}
+
+impl JobUpdate for Item {
+    const SIGNED: bool = false;
+
+    fn draw(cursor: &mut JobCursor, len: usize, out: &mut Vec<Self>) {
+        let (table, rng) = (&*cursor.table, &mut cursor.items);
+        out.extend((0..len).map(|_| table.sample(rng)));
+    }
+}
+
+impl JobUpdate for SignedUpdate {
+    const SIGNED: bool = true;
+
+    fn draw(cursor: &mut JobCursor, len: usize, out: &mut Vec<Self>) {
+        let (table, rng) = (&*cursor.table, &mut cursor.items);
+        let signs = cursor.signs.as_mut().expect("a signed cursor");
+        out.extend((0..len).map(|_| {
+            let item = table.sample(rng);
+            let live = &mut signs.live[item as usize];
+            let delete = *live > 0 && signs.coins.next_u64().is_multiple_of(4);
             let delta = if delete { -1 } else { 1 };
-            *entry += delta;
+            *live += delta;
             SignedUpdate { item, delta }
-        })
-        .collect()
+        }));
+    }
 }
 
 /// Writes a short string (path, endpoint) into a snapshot: length prefix
@@ -271,6 +474,9 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("need at least one worker".into());
+        }
+        if self.universe == 0 {
+            return Err("universe must be non-empty".into());
         }
         if self.chunk == 0 {
             return Err("chunk size must be positive".into());
@@ -545,6 +751,114 @@ mod tests {
         assert!(deletions > a.len() / 10, "workload barely deletes");
     }
 
+    /// Drains `cursor` chunk by chunk, checking every chunk's length.
+    fn drain_chunks<U: JobUpdate>(cursor: &mut JobCursor, chunk: usize, out: &mut Vec<U>) {
+        let mut next: Vec<U> = Vec::new();
+        while cursor.next_chunk(&mut next) {
+            assert!(!next.is_empty() && next.len() <= chunk);
+            out.extend_from_slice(&next);
+        }
+        assert!(!cursor.next_chunk(&mut next) && next.is_empty());
+    }
+
+    /// The cursor yields exactly the `job_stream` / `job_signed_stream`
+    /// bytes at every chunk size, including one chunk per update and one
+    /// chunk longer than the stream, and a cursor encoded at any chunk
+    /// boundary, decoded and drained continues the same stream.
+    fn check_cursor_against<U: JobUpdate + PartialEq + std::fmt::Debug>(
+        kind: SamplerKind,
+        whole: &[U],
+    ) {
+        let count = whole.len();
+        for chunk in [1, 7, 1_000, 65_536, count + 1] {
+            let spec = ServiceBuilder::new(kind, 2)
+                .universe(1 << 10)
+                .seed(11)
+                .count(count)
+                .chunk(chunk)
+                .build()
+                .unwrap();
+            let mut cursor = JobCursor::for_spec(&spec);
+            assert_eq!(cursor.total_chunks(), count.div_ceil(chunk) as u64);
+            let mut drained: Vec<U> = Vec::new();
+            drain_chunks(&mut cursor, chunk, &mut drained);
+            assert_eq!(drained, whole, "{} chunk={chunk}", kind.as_str());
+            assert_eq!(cursor.chunks(), cursor.total_chunks());
+
+            let total = cursor.total_chunks();
+            for resume_at in [0, 1, total / 3, total - 1, total] {
+                let mut cursor = JobCursor::for_spec(&spec);
+                let mut resumed: Vec<U> = Vec::new();
+                let mut next: Vec<U> = Vec::new();
+                while cursor.chunks() < resume_at && cursor.next_chunk(&mut next) {
+                    resumed.extend_from_slice(&next);
+                }
+                let mut w = SnapshotWriter::new();
+                cursor.encode_into(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = SnapshotReader::new(&bytes);
+                let mut decoded = JobCursor::decode_from(&mut r, &spec).unwrap();
+                r.finish().unwrap();
+                assert_eq!(decoded.chunks(), resume_at);
+                drain_chunks(&mut decoded, chunk, &mut resumed);
+                assert_eq!(resumed, whole, "chunk={chunk} resumed at {resume_at}");
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_reproduces_the_job_streams_across_chunks_and_resumes() {
+        let count = 70_001;
+        check_cursor_against(SamplerKind::L2, &job_stream(1 << 10, count, 11));
+        check_cursor_against(
+            SamplerKind::Turnstile,
+            &job_signed_stream(1 << 10, count, 11),
+        );
+    }
+
+    #[test]
+    fn cursor_decode_checks_the_state_against_the_spec() {
+        let spec = ServiceBuilder::new(SamplerKind::Turnstile, 2)
+            .universe(64)
+            .count(1_000)
+            .chunk(100)
+            .build()
+            .unwrap();
+        let mut w = SnapshotWriter::new();
+        JobCursor::for_spec(&spec).encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let decode = |spec: &JobSpec| {
+            let mut r = SnapshotReader::new(&bytes);
+            JobCursor::decode_from(&mut r, spec).map(|c| c.chunks())
+        };
+        assert_eq!(decode(&spec), Ok(0));
+        for other in [
+            JobSpec {
+                universe: 65,
+                ..spec.clone()
+            },
+            JobSpec {
+                sampler: SamplerKind::L2,
+                ..spec.clone()
+            },
+        ] {
+            assert!(matches!(
+                decode(&other),
+                Err(CodecError::InvalidValue { .. })
+            ));
+        }
+        // A position past the end of the stream, and a negative count.
+        let mut past = bytes.clone();
+        past[..8].copy_from_slice(&11u64.to_le_bytes());
+        let mut r = SnapshotReader::new(&past);
+        assert!(JobCursor::decode_from(&mut r, &spec).is_err());
+        let mut negative = bytes.clone();
+        let at = negative.len() - 8;
+        negative[at..].copy_from_slice(&(-1i64).to_le_bytes());
+        let mut r = SnapshotReader::new(&negative);
+        assert!(JobCursor::decode_from(&mut r, &spec).is_err());
+    }
+
     #[test]
     fn job_stream_is_deterministic_and_skewed() {
         let a = job_stream(1 << 16, 50_000, 7);
@@ -608,6 +922,10 @@ mod tests {
     #[test]
     fn builder_rejects_bad_specs() {
         assert!(ServiceBuilder::new(SamplerKind::L2, 0).build().is_err());
+        assert!(ServiceBuilder::new(SamplerKind::L2, 2)
+            .universe(0)
+            .build()
+            .is_err());
         assert!(ServiceBuilder::new(SamplerKind::L2, 2)
             .chunk(0)
             .build()

@@ -8,18 +8,23 @@
 //! restore-and-merge — byte-identical to a single-process
 //! [`ShardedSampler`] over the same stream.
 //!
-//! ## Replay buffers
+//! ## Replay by regeneration
 //!
-//! Every chunk sent to a worker is retained, tagged with the epoch of the
-//! last barrier *sent* before it. A chunk tagged `t` is covered by any
-//! checkpoint with epoch `> t`:
+//! The stream is never held: a [`JobCursor`] generates it chunk by chunk,
+//! and nothing sent to a worker is retained. A checkpoint barrier `E`
+//! sent after chunk `c` covers exactly the chunks before `c`, so the
+//! coordinator keeps
 //!
-//! * on a checkpoint **ack** at epoch `E` (the frame is on disk), chunks
-//!   tagged `< E` are dropped;
-//! * on a worker **restart** announcing recovered epoch `e`, chunks
-//!   tagged `≥ e` are re-sent in order (tagged `< e` are inside the
-//!   recovered state and are dropped).
+//! * one cursor at the first chunk that some shard's acked checkpoint
+//!   does not cover;
+//! * the boundaries `(E, c)` of every checkpoint barrier since.
 //!
+//! On a checkpoint **ack** from every worker, the cursor becomes a clone
+//! of the live cursor and the older boundaries go. On a worker
+//! **restart** announcing recovered epoch `e`, a clone of the cursor
+//! regenerates and re-routes the stream up to the current cut, and the
+//! worker is sent only its own sub-chunks from `e`'s boundary on. Query
+//! barriers move no boundary: their chunks are replayed like any other.
 //! The restored state is exactly the checkpoint-`e` cut, so re-ingesting
 //! exactly the uncovered chunks reproduces the uninterrupted shard state
 //! byte for byte — regardless of how much post-checkpoint work the dead
@@ -28,13 +33,13 @@
 //! ## Coordinator durability
 //!
 //! The same argument is applied to the coordinator itself: before every
-//! checkpoint barrier it commits a [`Manifest`] — spec, barrier epoch,
-//! chunks routed, per-shard endpoints and (untrimmed) replay buffers — to
-//! its own chain, fsynced *before* any worker is told to checkpoint (see
-//! `manifest.rs` for the case analysis). `resume_job` reconstructs the
-//! job from that chain alone: re-handshake the workers, re-send the
-//! buffered chunks their recovered epochs don't cover, and re-route the
-//! deterministic stream from the recorded chunk cut.
+//! checkpoint barrier it commits a [`JobManifest`] — spec, barrier epoch,
+//! chunks routed, per-shard acked epochs and endpoints, the boundaries
+//! and the cursor — to its own chain, fsynced *before* any worker is told
+//! to checkpoint (see `manifest.rs` for the case analysis). `resume_job`
+//! reconstructs the job from that chain alone: re-handshake the workers,
+//! regenerate from the cursor and re-send each worker the chunks its
+//! recovered epoch doesn't cover, and route on from the recorded cut.
 
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -51,13 +56,15 @@ use tps_streams::codec::delta::IncrementalCheckpointer;
 use tps_streams::codec::{checksum, Restore, Snapshot};
 use tps_streams::wire::transport::{tcp_connect, Connection, FramedConnection, TcpConnection};
 use tps_streams::wire::{check_hello, BarrierKind, IngestPayload, WireError, WireMessage};
-use tps_streams::{MergeableSampler, SampleOutcome, StreamUpdate, UpdateSampler};
+use tps_streams::{
+    Item, MergeableSampler, SampleOutcome, SignedUpdate, StreamUpdate, UpdateSampler,
+};
 
 use crate::config::{
-    job_signed_stream, job_stream, make_f0, make_g, make_l2, make_turnstile, FaultPlan, JobSpec,
-    QueryPlan, SamplerKind, TransportKind,
+    job_signed_stream, job_stream, make_f0, make_g, make_l2, make_turnstile, FaultPlan, JobCursor,
+    JobSpec, JobUpdate, QueryPlan, SamplerKind, TransportKind,
 };
-use crate::manifest::{peek_spec, Manifest, ShardState};
+use crate::manifest::{JobManifest, ShardEntry};
 use crate::query::{PublishedCut, QueryPlane};
 use crate::store::CheckpointStore;
 
@@ -129,8 +136,8 @@ fn describe(outcome: SampleOutcome) -> String {
     }
 }
 
-/// One attached worker plus its replay buffer.
-struct WorkerHandle<U> {
+/// One attached worker.
+struct WorkerHandle {
     shard: usize,
     conn: Box<dyn Connection>,
     /// The worker process, when this coordinator spawned it (pipe workers
@@ -141,58 +148,42 @@ struct WorkerHandle<U> {
     /// The worker's TCP endpoint, recorded in the manifest so a resumed
     /// coordinator can find the still-running listener.
     endpoint: Option<String>,
-    /// Chunks sent since the last acked checkpoint, each tagged with the
-    /// epoch of the last barrier sent before it.
-    replay: Vec<(u64, Vec<U>)>,
-    /// The last checkpoint epoch this worker acked.
+    /// The last checkpoint epoch this worker acked (or recovered to).
     acked_epoch: u64,
 }
 
-impl<U: IngestPayload> WorkerHandle<U> {
+impl WorkerHandle {
     /// Wraps a fresh connection to the worker for `shard` and reads and
-    /// verifies its `Hello` (protocol version and capabilities included —
-    /// see [`check_hello`]), returning the handle, with an empty replay
-    /// buffer, and the epoch the worker recovered to (`0` = fresh).
+    /// verifies its `Hello` (protocol version and the capabilities the
+    /// job's update type needs — see [`check_hello`]). The handle's acked
+    /// epoch is the epoch the worker recovered to (`0` = fresh).
     fn attach(
+        spec: &JobSpec,
         shard: usize,
         conn: Box<dyn Connection>,
         child: Option<Child>,
         endpoint: Option<String>,
-    ) -> io::Result<(Self, u64)> {
+    ) -> io::Result<Self> {
         let mut handle = Self {
             shard,
             conn,
             child,
             endpoint,
-            replay: Vec::new(),
             acked_epoch: 0,
         };
+        let caps = if spec.sampler.is_turnstile() {
+            SignedUpdate::REQUIRED_CAPS
+        } else {
+            Item::REQUIRED_CAPS
+        };
         let hello = handle.recv()?;
-        let (said, resume_epoch) = check_hello(&hello, U::REQUIRED_CAPS)
-            .map_err(|e| invalid(format!("worker {shard}: {e}")))?;
+        let (said, resume_epoch) =
+            check_hello(&hello, caps).map_err(|e| invalid(format!("worker {shard}: {e}")))?;
         if said != shard as u64 {
             return Err(invalid(format!("worker {shard} announced shard {said}")));
         }
-        Ok((handle, resume_epoch))
-    }
-
-    /// Brings a freshly attached worker level with the chunks in `replay`:
-    /// every chunk tagged `≥ resume_epoch` is outside the worker's
-    /// recovered checkpoint, so it is re-sent in order and buffered again;
-    /// the rest are inside the recovered state and are dropped.
-    fn resend_uncovered(
-        &mut self,
-        resume_epoch: u64,
-        replay: Vec<(u64, Vec<U>)>,
-    ) -> io::Result<()> {
-        self.acked_epoch = resume_epoch;
-        for (tag, items) in replay {
-            if tag >= resume_epoch {
-                self.send(&U::into_ingest(items.clone()))?;
-                self.replay.push((tag, items));
-            }
-        }
-        Ok(())
+        handle.acked_epoch = resume_epoch;
+        Ok(handle)
     }
 
     fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
@@ -241,11 +232,7 @@ fn worker_command(spec: &JobSpec, exe: &Path, shard: usize) -> Command {
 }
 
 /// Spawns a pipe-transport worker and completes its handshake.
-fn spawn_pipe_worker<U: IngestPayload>(
-    spec: &JobSpec,
-    exe: &Path,
-    shard: usize,
-) -> io::Result<(WorkerHandle<U>, u64)> {
+fn spawn_pipe_worker(spec: &JobSpec, exe: &Path, shard: usize) -> io::Result<WorkerHandle> {
     let mut child = worker_command(spec, exe, shard)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -254,17 +241,13 @@ fn spawn_pipe_worker<U: IngestPayload>(
     let input = child.stdin.take().expect("piped stdin");
     let output = child.stdout.take().expect("piped stdout");
     let conn = FramedConnection::new(output, input);
-    WorkerHandle::attach(shard, Box::new(conn), Some(child), None)
+    WorkerHandle::attach(spec, shard, Box::new(conn), Some(child), None)
 }
 
 /// Spawns a `--listen` worker on a loopback ephemeral port, reads the
 /// `listening <addr>` announcement from its stdout, dials it, and
 /// completes the handshake.
-fn spawn_listen_worker<U: IngestPayload>(
-    spec: &JobSpec,
-    exe: &Path,
-    shard: usize,
-) -> io::Result<(WorkerHandle<U>, u64)> {
+fn spawn_listen_worker(spec: &JobSpec, exe: &Path, shard: usize) -> io::Result<WorkerHandle> {
     let mut child = worker_command(spec, exe, shard)
         .arg("--listen")
         .arg("127.0.0.1:0")
@@ -281,17 +264,19 @@ fn spawn_listen_worker<U: IngestPayload>(
         .ok_or_else(|| invalid(format!("worker {shard} announced {line:?}")))?
         .to_string();
     let conn = connect_retry(&endpoint, 250)?;
-    WorkerHandle::attach(shard, Box::new(conn), Some(child), Some(endpoint))
+    WorkerHandle::attach(spec, shard, Box::new(conn), Some(child), Some(endpoint))
 }
 
 /// Dials an externally-managed (or inherited) listen worker.
-fn connect_worker<U: IngestPayload>(
+fn connect_worker(
+    spec: &JobSpec,
     endpoint: &str,
     shard: usize,
     attempts: u32,
-) -> io::Result<(WorkerHandle<U>, u64)> {
+) -> io::Result<WorkerHandle> {
     let conn = connect_retry(endpoint, attempts)?;
-    WorkerHandle::attach(shard, Box::new(conn), None, Some(endpoint.to_string()))
+    let endpoint = Some(endpoint.to_string());
+    WorkerHandle::attach(spec, shard, Box::new(conn), None, endpoint)
 }
 
 fn connect_retry(endpoint: &str, attempts: u32) -> io::Result<TcpConnection> {
@@ -309,17 +294,13 @@ fn connect_retry(endpoint: &str, attempts: u32) -> io::Result<TcpConnection> {
 }
 
 /// Attaches the worker for `shard` on a *fresh* job.
-fn attach_worker<U: IngestPayload>(
-    spec: &JobSpec,
-    exe: &Path,
-    shard: usize,
-) -> io::Result<(WorkerHandle<U>, u64)> {
+fn attach_worker(spec: &JobSpec, exe: &Path, shard: usize) -> io::Result<WorkerHandle> {
     match &spec.transport {
         TransportKind::Pipe => spawn_pipe_worker(spec, exe, shard),
         TransportKind::Tcp { endpoints } if endpoints.is_empty() => {
             spawn_listen_worker(spec, exe, shard)
         }
-        TransportKind::Tcp { endpoints } => connect_worker(&endpoints[shard], shard, 250),
+        TransportKind::Tcp { endpoints } => connect_worker(spec, &endpoints[shard], shard, 250),
     }
 }
 
@@ -328,15 +309,15 @@ fn attach_worker<U: IngestPayload>(
 /// respawn fallback for self-spawned loopback workers that died too);
 /// everything else — pipe workers died with the old coordinator — attaches
 /// as on a fresh job.
-fn reattach_worker<U: IngestPayload>(
+fn reattach_worker(
     spec: &JobSpec,
     exe: &Path,
     shard: usize,
     recorded: Option<&String>,
-) -> io::Result<(WorkerHandle<U>, u64)> {
+) -> io::Result<WorkerHandle> {
     match (&spec.transport, recorded) {
         (TransportKind::Tcp { endpoints }, Some(endpoint)) => {
-            match connect_worker(endpoint, shard, 25) {
+            match connect_worker(spec, endpoint, shard, 25) {
                 Err(e) if endpoints.is_empty() => {
                     eprintln!("coordinator: worker {shard} gone from {endpoint} ({e}); respawning");
                     spawn_listen_worker(spec, exe, shard)
@@ -349,15 +330,11 @@ fn reattach_worker<U: IngestPayload>(
 }
 
 /// Kills the worker outright (SIGKILL — no drain, simulating a crash) and
-/// brings up a replacement: the fresh process recovers from its on-disk
-/// chain, and the coordinator re-sends the buffered chunks the recovered
-/// checkpoint does not cover. Only workers this coordinator spawned can be
-/// killed, so the replacement attaches exactly like a fresh job's worker.
-fn restart_worker<U: IngestPayload>(
-    spec: &JobSpec,
-    exe: &Path,
-    handle: &mut WorkerHandle<U>,
-) -> io::Result<()> {
+/// brings up a replacement, which recovers from its on-disk chain; the
+/// caller then replays what the recovered checkpoint does not cover. Only
+/// workers this coordinator spawned can be killed, so the replacement
+/// attaches exactly like a fresh job's worker.
+fn restart_worker(spec: &JobSpec, exe: &Path, handle: &mut WorkerHandle) -> io::Result<()> {
     let Some(child) = handle.child.as_mut() else {
         return Err(invalid(format!(
             "cannot kill worker {}: externally managed (no child process)",
@@ -366,26 +343,98 @@ fn restart_worker<U: IngestPayload>(
     };
     child.kill()?;
     child.wait()?;
-    let (mut fresh, resume_epoch) = attach_worker(spec, exe, handle.shard)?;
-    fresh.resend_uncovered(resume_epoch, std::mem::take(&mut handle.replay))?;
     // Swap the replacement into the slot; the dead process's handles drop.
-    std::mem::swap(handle, &mut fresh);
+    *handle = attach_worker(spec, exe, handle.shard)?;
     Ok(())
+}
+
+/// Routes one chunk with the in-process routing function.
+fn route<U: StreamUpdate>(chunk: &[U], workers: usize) -> Vec<Vec<U>> {
+    let mut routed: Vec<Vec<U>> = vec![Vec::new(); workers];
+    for &update in chunk {
+        routed[hash_route(update.route_key(), workers)].push(update);
+    }
+    routed
+}
+
+/// Replay by regeneration: the workload cursor at the first chunk that
+/// some shard's acked checkpoint does not cover, plus the checkpoint
+/// boundaries since then (see the module docs).
+struct ReplayLog {
+    cursor: JobCursor,
+    /// `(checkpoint epoch, first chunk it does not cover)`, ascending; the
+    /// first entry is the cursor's own position.
+    boundaries: Vec<(u64, u64)>,
+}
+
+impl ReplayLog {
+    /// Records checkpoint barrier `epoch`, about to be sent at `chunk`.
+    fn record(&mut self, epoch: u64, chunk: u64) {
+        self.boundaries.push((epoch, chunk));
+    }
+
+    /// Every shard acked the checkpoint at `live`'s position: nothing
+    /// before it will ever be replayed.
+    fn acked(&mut self, epoch: u64, live: &JobCursor) {
+        self.cursor = live.clone();
+        self.boundaries = vec![(epoch, live.chunks())];
+    }
+
+    /// The first chunk a worker recovered to `epoch` is missing.
+    fn first_uncovered(&self, shard: usize, epoch: u64) -> io::Result<u64> {
+        self.boundaries
+            .iter()
+            .find(|&&(at, _)| at == epoch)
+            .map(|&(_, chunk)| chunk)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "worker {shard} recovered epoch {epoch}, which no recorded checkpoint \
+                     boundary covers — stale checkpoint directory?"
+                ))
+            })
+    }
+
+    /// Regenerates chunks from the cursor up to `to` (exclusive), routes
+    /// them, and sends each worker in `shards` its sub-chunks from the
+    /// boundary of the epoch it recovered to. Returns the cursor at `to`.
+    fn replay<U: JobUpdate>(
+        &self,
+        workers: &mut [WorkerHandle],
+        shards: &[usize],
+        to: u64,
+    ) -> io::Result<JobCursor> {
+        let from = shards
+            .iter()
+            .map(|&shard| self.first_uncovered(shard, workers[shard].acked_epoch))
+            .collect::<io::Result<Vec<u64>>>()?;
+        let mut cursor = self.cursor.clone();
+        let mut chunk: Vec<U> = Vec::new();
+        while cursor.chunks() < to && cursor.next_chunk(&mut chunk) {
+            let index = cursor.chunks() - 1;
+            let mut routed = route(&chunk, workers.len());
+            for (&shard, &first) in shards.iter().zip(&from) {
+                let updates = std::mem::take(&mut routed[shard]);
+                if index >= first && !updates.is_empty() {
+                    workers[shard].send(&U::into_ingest(updates))?;
+                }
+            }
+        }
+        Ok(cursor)
+    }
 }
 
 /// One barrier round at `epoch`, for every barrier kind: sends
 /// `Barrier { epoch, kind }` to every worker, then collects every ack and
 /// checks that it carries a snapshot exactly when `kind` asks for one.
-/// Checkpoint kinds also record the ack and trim each replay buffer to the
-/// chunks the new checkpoint does not cover. Returns the cut at
+/// Checkpoint kinds also record the ack. Returns the cut at
 /// `chunks_routed` (`processed` stream items), with the snapshots in shard
 /// order — none for a plain [`BarrierKind::Checkpoint`].
 ///
 /// `crash` is the coordinator-death fault hook: the process aborts with
 /// every barrier in flight and zero acks collected, the widest crash
 /// window.
-fn barrier_round<U: IngestPayload>(
-    workers: &mut [WorkerHandle<U>],
+fn barrier_round(
+    workers: &mut [WorkerHandle],
     epoch: u64,
     kind: BarrierKind,
     chunks_routed: u64,
@@ -410,7 +459,6 @@ fn barrier_round<U: IngestPayload>(
         }
         snapshots.extend(snapshot);
         if kind != BarrierKind::Query {
-            worker.replay.retain(|&(tag, _)| tag >= epoch);
             worker.acked_epoch = epoch;
         }
     }
@@ -463,7 +511,6 @@ pub(crate) fn merge_report(
     use tps_core::f0::TrulyPerfectF0Sampler;
     use tps_core::lp::TrulyPerfectLpSampler;
     use tps_core::turnstile::StrictTurnstileF0Sampler;
-    use tps_streams::{Item, SignedUpdate};
     match kind {
         SamplerKind::L2 => {
             merge_snapshots::<TrulyPerfectLpSampler, Item>(snapshots, seed, processed)
@@ -497,53 +544,48 @@ impl Durability {
     }
 }
 
-/// Encodes the manifest of this barrier and persists it. The replay
-/// buffers are lent to the [`Manifest`] for the encode and taken back
-/// after it, instead of being copied.
-fn persist_manifest<U: IngestPayload>(
+/// Encodes the manifest of this barrier and persists it.
+fn persist_manifest(
     durability: &mut Durability,
     spec: &JobSpec,
     epoch: u64,
     chunks_routed: u64,
-    workers: &mut [WorkerHandle<U>],
+    workers: &[WorkerHandle],
+    log: &ReplayLog,
 ) -> io::Result<()> {
-    let manifest = Manifest {
+    let manifest = JobManifest {
         spec: spec.clone(),
         epoch,
         chunks_routed,
         shards: workers
-            .iter_mut()
-            .map(|worker| ShardState {
+            .iter()
+            .map(|worker| ShardEntry {
                 acked_epoch: worker.acked_epoch,
                 endpoint: worker.endpoint.clone(),
-                replay: std::mem::take(&mut worker.replay),
             })
             .collect(),
+        boundaries: log.boundaries.clone(),
+        cursor: log.cursor.clone(),
     };
-    let bytes = manifest.encode();
-    for (worker, shard) in workers.iter_mut().zip(manifest.shards) {
-        worker.replay = shard.replay;
-    }
-    durability.persist(bytes)
+    durability.persist(manifest.encode())
 }
 
 /// The routed stream-prefix length at a chunk cut (the final chunk may
-/// be short, so the product is clamped to the actual stream length).
-fn routed_prefix(stream_len: usize, chunks_routed: u64, chunk: usize) -> u64 {
-    (chunks_routed * chunk as u64).min(stream_len as u64)
+/// be short, so the product is clamped to the stream length).
+fn routed_prefix(count: usize, chunks_routed: u64, chunk: usize) -> u64 {
+    (chunks_routed * chunk as u64).min(count as u64)
 }
 
-/// The kind-generic job body: attach workers, route the stream,
-/// checkpoint (manifest-before-barrier), inject faults, serve mid-ingest
-/// queries, run the final query barrier, shut down. `resume` is the
-/// newest manifest of the chain being resumed. Returns the final
-/// consistent cut.
-fn drive_job<U: IngestPayload>(
+/// The kind-generic job body: attach workers, route the stream chunk by
+/// chunk from the workload cursor, checkpoint (manifest-before-barrier),
+/// inject faults, serve mid-ingest queries, run the final query barrier,
+/// shut down. `resume` is the newest manifest of the chain being resumed.
+/// Returns the final consistent cut.
+fn drive_job<U: JobUpdate>(
     spec: &JobSpec,
-    stream: &[U],
     fault: &FaultPlan,
     query: &QueryPlan,
-    resume: Option<&[u8]>,
+    resume: Option<JobManifest>,
 ) -> io::Result<Arc<PublishedCut>> {
     let exe = match &spec.worker_exe {
         Some(path) => path.clone(),
@@ -552,7 +594,8 @@ fn drive_job<U: IngestPayload>(
     std::fs::create_dir_all(&spec.checkpoint_dir)?;
 
     let store = CheckpointStore::for_coordinator(&spec.checkpoint_dir);
-    let (mut durability, shard_states, start_epoch, start_chunks) = match resume {
+    let mut workers: Vec<WorkerHandle> = Vec::with_capacity(spec.workers);
+    let (mut durability, mut log, mut cursor, start_epoch) = match resume {
         None => {
             if store.recover()?.is_some() {
                 return Err(invalid(format!(
@@ -560,75 +603,60 @@ fn drive_job<U: IngestPayload>(
                     store.path().display()
                 )));
             }
-            (
-                Durability {
-                    store,
-                    writer: IncrementalCheckpointer::new(),
-                    seq: 0,
-                },
-                None,
-                0,
-                0,
-            )
-        }
-        Some(bytes) => {
-            let manifest = Manifest::<U>::decode(bytes)
-                .map_err(|e| invalid(format!("manifest does not decode: {e}")))?;
-            let chain = store
-                .recover()?
-                .ok_or_else(|| invalid("no coordinator chain to resume from".into()))?;
-            let seq = chain.epoch;
-            (
-                Durability {
-                    store,
-                    writer: IncrementalCheckpointer::resume(
-                        chain.epoch,
-                        chain.snapshot,
-                        chain.deltas_since_base,
-                    ),
-                    seq,
-                },
-                Some(manifest.shards),
-                manifest.epoch,
-                manifest.chunks_routed,
-            )
-        }
-    };
-
-    let mut workers: Vec<WorkerHandle<U>> = Vec::with_capacity(spec.workers);
-    match shard_states {
-        None => {
             for shard in 0..spec.workers {
-                let (handle, resume_epoch) = attach_worker(spec, &exe, shard)?;
-                if resume_epoch != 0 {
+                let handle = attach_worker(spec, &exe, shard)?;
+                if handle.acked_epoch != 0 {
                     return Err(invalid(format!(
-                        "worker {shard} recovered epoch {resume_epoch} on a fresh job — \
-                         stale checkpoint directory?"
+                        "worker {shard} recovered epoch {} on a fresh job — \
+                         stale checkpoint directory?",
+                        handle.acked_epoch
                     )));
                 }
                 workers.push(handle);
             }
+            let mut durability = Durability {
+                store,
+                writer: IncrementalCheckpointer::new(),
+                seq: 0,
+            };
+            let cursor = JobCursor::for_spec(spec);
+            let log = ReplayLog {
+                cursor: cursor.clone(),
+                boundaries: vec![(0, 0)],
+            };
             // The job is durable from the first moment it could need
             // resuming: a manifest at the zero cut covers death before the
             // first checkpoint.
-            persist_manifest(&mut durability, spec, 0, 0, &mut workers)?;
+            persist_manifest(&mut durability, spec, 0, 0, &workers, &log)?;
+            (durability, log, cursor, 0)
         }
-        Some(states) => {
-            if states.len() != spec.workers {
-                return Err(invalid(format!(
-                    "manifest records {} shards for a {}-worker job",
-                    states.len(),
-                    spec.workers
-                )));
+        Some(manifest) => {
+            let chain = store
+                .recover()?
+                .ok_or_else(|| invalid("no coordinator chain to resume from".into()))?;
+            let durability = Durability {
+                writer: IncrementalCheckpointer::resume(
+                    chain.epoch,
+                    chain.snapshot,
+                    chain.deltas_since_base,
+                ),
+                seq: chain.epoch,
+                store,
+            };
+            for (shard, entry) in manifest.shards.iter().enumerate() {
+                workers.push(reattach_worker(spec, &exe, shard, entry.endpoint.as_ref())?);
             }
-            for (shard, state) in states.into_iter().enumerate() {
-                let (mut handle, resume_epoch) =
-                    reattach_worker(spec, &exe, shard, state.endpoint.as_ref())?;
-                handle.resend_uncovered(resume_epoch, state.replay)?;
-                workers.push(handle);
-            }
+            let log = ReplayLog {
+                cursor: manifest.cursor,
+                boundaries: manifest.boundaries,
+            };
+            // One regeneration pass brings every worker level with the
+            // manifest's cut and leaves the live cursor there.
+            let every: Vec<usize> = (0..spec.workers).collect();
+            let cursor = log.replay::<U>(&mut workers, &every, manifest.chunks_routed)?;
+            (durability, log, cursor, manifest.epoch)
         }
-    }
+    };
 
     // The non-stalling query plane: a dedicated accept thread plus
     // detached handler threads serve clients from the published-cut
@@ -639,25 +667,17 @@ fn drive_job<U: IngestPayload>(
     };
 
     let mut epoch = start_epoch; // last barrier epoch sent
-    let mut chunks_routed = start_chunks;
     let mut kill_pending = fault.kill;
-    for (index, chunk) in stream.chunks(spec.chunk).enumerate() {
-        if (index as u64) < start_chunks {
-            continue; // routed (and manifest-covered) before the resume cut
-        }
-        let mut routed: Vec<Vec<U>> = vec![Vec::new(); spec.workers];
-        for &update in chunk {
-            routed[hash_route(update.route_key(), spec.workers)].push(update);
-        }
+    let mut chunk: Vec<U> = Vec::new();
+    while cursor.next_chunk(&mut chunk) {
+        let routed = route(&chunk, spec.workers);
         for (worker, updates) in workers.iter_mut().zip(routed) {
-            if updates.is_empty() {
-                continue;
+            if !updates.is_empty() {
+                worker.send(&U::into_ingest(updates))?;
             }
-            worker.send(&U::into_ingest(updates.clone()))?;
-            worker.replay.push((epoch, updates));
         }
-        chunks_routed += 1;
-        let processed = routed_prefix(stream.len(), chunks_routed, spec.chunk);
+        let chunks_routed = cursor.chunks();
+        let processed = routed_prefix(spec.count, chunks_routed, spec.chunk);
 
         if let Some(kill) = kill_pending {
             if chunks_routed >= kill.after_chunks {
@@ -665,6 +685,7 @@ fn drive_job<U: IngestPayload>(
                     return Err(invalid(format!("no shard {} to kill", kill.shard)));
                 }
                 restart_worker(spec, &exe, &mut workers[kill.shard])?;
+                log.replay::<U>(&mut workers, &[kill.shard], chunks_routed)?;
                 kill_pending = None;
             }
         }
@@ -677,9 +698,10 @@ fn drive_job<U: IngestPayload>(
 
         if chunks_routed.is_multiple_of(spec.checkpoint_every) {
             epoch += 1;
-            // Durability order: the manifest recording this barrier's cut
-            // is on disk before any worker is told to checkpoint.
-            persist_manifest(&mut durability, spec, epoch, chunks_routed, &mut workers)?;
+            // Durability order: the manifest recording this barrier's
+            // boundary is on disk before any worker is told to checkpoint.
+            log.record(epoch, chunks_routed);
+            persist_manifest(&mut durability, spec, epoch, chunks_routed, &workers, &log)?;
             // With a live query plane, checkpoint barriers *publish*: the
             // same barrier round that makes the cut durable also hands
             // its snapshots to the cut cache.
@@ -690,6 +712,7 @@ fn drive_job<U: IngestPayload>(
             };
             let crash = die_now.is_some_and(|die| die.mid_barrier);
             let cut = barrier_round(&mut workers, epoch, kind, chunks_routed, processed, crash)?;
+            log.acked(epoch, &cursor);
             if let Some(plane) = &plane {
                 plane.publish(cut);
             }
@@ -727,13 +750,12 @@ fn drive_job<U: IngestPayload>(
     }
 
     epoch += 1;
-    let processed = stream.len() as u64;
     let cut = barrier_round(
         &mut workers,
         epoch,
         BarrierKind::Query,
-        chunks_routed,
-        processed,
+        cursor.chunks(),
+        spec.count as u64,
         false,
     )?;
     let cut = match plane {
@@ -763,21 +785,19 @@ fn drive_job<U: IngestPayload>(
 }
 
 /// The job body [`run_job`] and [`resume_job`] share: validate the spec,
-/// generate the job's stream for its update type, drive the job (resuming
-/// from `manifest` when given), merge the final cut.
+/// drive the job for its update type (resuming from `manifest` when
+/// given), merge the final cut.
 fn execute(
     spec: &JobSpec,
     fault: &FaultPlan,
     query: &QueryPlan,
-    manifest: Option<&[u8]>,
+    manifest: Option<JobManifest>,
 ) -> io::Result<QueryReport> {
     spec.validate().map_err(invalid)?;
     let cut = if spec.sampler.is_turnstile() {
-        let stream = job_signed_stream(spec.universe, spec.count, spec.seed);
-        drive_job(spec, &stream, fault, query, manifest)?
+        drive_job::<SignedUpdate>(spec, fault, query, manifest)?
     } else {
-        let stream = job_stream(spec.universe, spec.count, spec.seed);
-        drive_job(spec, &stream, fault, query, manifest)?
+        drive_job::<Item>(spec, fault, query, manifest)?
     };
     merge_report(spec.sampler, &cut.snapshots, spec.seed, cut.processed)
 }
@@ -794,7 +814,8 @@ pub fn run_job(spec: &JobSpec, fault: &FaultPlan, query: &QueryPlan) -> io::Resu
 /// recorded spec's `worker_exe` can be overridden (tests relocate
 /// binaries). The resumed run never re-injects faults — fault plans are
 /// per-invocation, and the invocation that planned them is dead. A
-/// recorded spec that fails validation is an `InvalidData` error.
+/// manifest that does not decode, or records a spec that fails
+/// validation, is an `InvalidData` error.
 pub fn resume_job(
     checkpoint_dir: &Path,
     worker_exe: Option<PathBuf>,
@@ -807,21 +828,24 @@ pub fn resume_job(
             store.path().display()
         ))
     })?;
-    let mut spec = peek_spec(&chain.snapshot)
+    let mut manifest = JobManifest::decode(&chain.snapshot)
         .map_err(|e| invalid(format!("manifest does not decode: {e}")))?;
     if let Some(exe) = worker_exe {
-        spec.worker_exe = Some(exe);
+        manifest.spec.worker_exe = Some(exe);
     }
     // Chains move with their directory; trust the caller's location over
     // the recorded absolute path.
-    spec.checkpoint_dir = checkpoint_dir.to_path_buf();
-    execute(&spec, &FaultPlan::default(), query, Some(&chain.snapshot))
+    manifest.spec.checkpoint_dir = checkpoint_dir.to_path_buf();
+    let spec = manifest.spec.clone();
+    execute(&spec, &FaultPlan::default(), query, Some(manifest))
 }
 
 /// The single-process reference: an in-process sharded sampler over the
 /// identical stream, queried once. Its report must equal the service's —
-/// that equality is the distributed correctness gate.
-pub fn run_reference(spec: &JobSpec) -> QueryReport {
+/// that equality is the distributed correctness gate. A spec that fails
+/// validation is an `InvalidData` error, as for [`run_job`].
+pub fn run_reference(spec: &JobSpec) -> io::Result<QueryReport> {
+    spec.validate().map_err(invalid)?;
     fn typed<S, U>(
         spec: &JobSpec,
         stream: &[U],
@@ -845,7 +869,7 @@ pub fn run_reference(spec: &JobSpec) -> QueryReport {
             sample: describe(merged.draw()),
         }
     }
-    match spec.sampler {
+    Ok(match spec.sampler {
         SamplerKind::L2 => typed(
             spec,
             &job_stream(spec.universe, spec.count, spec.seed),
@@ -866,7 +890,7 @@ pub fn run_reference(spec: &JobSpec) -> QueryReport {
             &job_signed_stream(spec.universe, spec.count, spec.seed),
             |b| b.build_turnstile(|shard| make_turnstile(spec.universe, spec.seed, shard)),
         ),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -896,23 +920,88 @@ mod tests {
             .checkpoint_dir(std::env::temp_dir())
             .build()
             .unwrap();
-        let a = run_reference(&spec);
-        let b = run_reference(&spec);
+        let a = run_reference(&spec).unwrap();
+        let b = run_reference(&spec).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.processed, 30_000);
         let other = JobSpec { seed: 6, ..spec };
-        assert_ne!(a.merged_fnv, run_reference(&other).merged_fnv);
+        assert_ne!(a.merged_fnv, run_reference(&other).unwrap().merged_fnv);
+    }
+
+    /// A connection that records what the coordinator sends.
+    struct Recorder(std::rc::Rc<std::cell::RefCell<Vec<WireMessage>>>);
+
+    impl Connection for Recorder {
+        fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
+            self.0.borrow_mut().push(msg.clone());
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Option<WireMessage>, WireError> {
+            Ok(None)
+        }
+    }
+
+    /// Replay regenerates from the log's cursor and sends each listed
+    /// shard exactly its routed sub-chunks from its recovered epoch's
+    /// boundary to the cut: here one shard recovered to the older of two
+    /// listed checkpoints and one to the newer, as after a coordinator
+    /// death inside a checkpoint barrier. The returned cursor sits at the
+    /// cut.
+    #[test]
+    fn replay_sends_each_shard_its_chunks_from_its_boundary() {
+        let spec = ServiceBuilder::new(SamplerKind::L2, 2)
+            .count(10_000)
+            .chunk(1_000)
+            .build()
+            .unwrap();
+        let stream = job_stream(spec.universe, spec.count, spec.seed);
+        let mut cursor = JobCursor::for_spec(&spec);
+        let mut chunk: Vec<Item> = Vec::new();
+        for _ in 0..3 {
+            cursor.next_chunk(&mut chunk);
+        }
+        let log = ReplayLog {
+            cursor,
+            boundaries: vec![(2, 3), (3, 6)],
+        };
+        let sent: Vec<_> = (0..2)
+            .map(|_| std::rc::Rc::new(std::cell::RefCell::new(Vec::new())))
+            .collect();
+        let mut workers: Vec<WorkerHandle> = sent
+            .iter()
+            .zip([2, 3])
+            .enumerate()
+            .map(|(shard, (log, acked_epoch))| WorkerHandle {
+                shard,
+                conn: Box::new(Recorder(std::rc::Rc::clone(log))),
+                child: None,
+                endpoint: None,
+                acked_epoch,
+            })
+            .collect();
+        let at = log.replay::<Item>(&mut workers, &[0, 1], 8).unwrap();
+        assert_eq!(at.chunks(), 8);
+        for (shard, first) in [(0, 3), (1, 6)] {
+            let expected: Vec<WireMessage> = stream[first * 1_000..8_000]
+                .chunks(1_000)
+                .map(|c| Item::into_ingest(route(c, 2).swap_remove(shard)))
+                .collect();
+            assert_eq!(*sent[shard].borrow(), expected, "shard {shard}");
+        }
+        // An epoch no boundary lists is a typed error, not a guess.
+        workers[1].acked_epoch = 1;
+        let err = log.replay::<Item>(&mut workers, &[1], 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// `resume_job` validates the spec it decodes from the manifest chain
     /// exactly like `run_job` validates its argument: a well-formed chain
-    /// recording zero workers or a zero chunk size is a typed
-    /// `InvalidData` error, not a panic in the routing loop.
+    /// recording zero workers, a zero chunk size or an empty universe is a
+    /// typed `InvalidData` error, not a panic in the routing loop or the
+    /// workload generator.
     #[test]
     fn resume_rejects_an_invalid_recorded_spec() {
-        use crate::manifest::ShardState;
-        use tps_streams::Item;
-
         let valid = ServiceBuilder::new(SamplerKind::L2, 3)
             .count(10_000)
             .chunk(1_000)
@@ -926,23 +1015,37 @@ mod tests {
                     ..valid.clone()
                 },
             ),
-            ("chunk", JobSpec { chunk: 0, ..valid }),
+            (
+                "chunk",
+                JobSpec {
+                    chunk: 0,
+                    ..valid.clone()
+                },
+            ),
+            (
+                "universe",
+                JobSpec {
+                    universe: 0,
+                    ..valid.clone()
+                },
+            ),
         ];
         for (field, spec) in broken {
             let dir = std::env::temp_dir()
                 .join(format!("tps-resume-invalid-{field}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
-            let manifest = Manifest::<Item> {
+            let manifest = JobManifest {
                 epoch: 0,
                 chunks_routed: 0,
                 shards: (0..spec.workers)
-                    .map(|_| ShardState {
+                    .map(|_| ShardEntry {
                         acked_epoch: 0,
                         endpoint: None,
-                        replay: Vec::new(),
                     })
                     .collect(),
+                boundaries: vec![(0, 0)],
+                cursor: JobCursor::for_spec(&valid),
                 spec,
             };
             let frame = IncrementalCheckpointer::new().checkpoint_bytes(manifest.encode(), 1);
@@ -953,5 +1056,26 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// An empty universe is rejected before anything is spawned or
+    /// generated: `run_job` and `run_reference` fail with a typed error
+    /// instead of panicking in the Zipf table.
+    #[test]
+    fn run_job_rejects_an_empty_universe() {
+        let spec = JobSpec {
+            universe: 0,
+            ..ServiceBuilder::new(SamplerKind::Turnstile, 2)
+                .build()
+                .unwrap()
+        };
+        let err = run_job(&spec, &FaultPlan::default(), &QueryPlan::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = run_reference(&spec).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(ServiceBuilder::new(SamplerKind::L2, 2)
+            .universe(0)
+            .build()
+            .is_err());
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! * **Checkpoint barriers** make every worker commit an incremental
 //!   checkpoint frame — [`tps_streams::codec::delta`] — to its on-disk
-//!   chain and ack; the acks let the coordinator trim its replay buffers.
+//!   chain and ack; the acks move the coordinator's replay cursor forward.
 //!   [`CheckpointStore::commit`] appends a delta frame, and a rebase
 //!   replaces the chain with its full frame in one atomic write, so the
 //!   chain never holds frames replay cannot reach.
@@ -31,25 +31,28 @@
 //!
 //! ## Failure semantics
 //!
-//! The coordinator buffers every chunk it sends, tagged with the epoch of
-//! the last barrier *sent* before it; a chunk tagged `t` is covered by any
-//! checkpoint with epoch `> t`. When a checkpoint at epoch `E` is acked
-//! (the worker wrote the frame to disk before acking), chunks tagged
-//! `< E` are dropped from the buffer. When a worker dies, the coordinator
+//! The coordinator keeps no copy of the stream. Its input is the
+//! deterministic workload, read through a resumable
+//! [`config::JobCursor`]; it keeps one cursor at the first chunk some
+//! shard's acked checkpoint does not cover, plus the boundary chunk of
+//! every checkpoint since. When a checkpoint at epoch `E` is acked by
+//! every worker (each wrote the frame to disk before acking), the cursor
+//! moves up to `E`'s boundary. When a worker dies, the coordinator
 //! respawns (or re-dials) it; the fresh process replays its on-disk
 //! chain, reports the recovered epoch in its `Hello`, and the coordinator
-//! re-sends exactly the buffered chunks the checkpoint does not cover
-//! (tag `≥` recovered epoch). Re-ingesting those chunks on top of the
-//! restored state reproduces the uninterrupted run's shard state byte for
-//! byte — which the smoke test asserts end to end through the merged
-//! query.
+//! regenerates the stream from its cursor, re-routes it and re-sends that
+//! worker exactly the sub-chunks past the recovered epoch's boundary.
+//! Re-ingesting those chunks on top of the restored state reproduces the
+//! uninterrupted run's shard state byte for byte — which the smoke test
+//! asserts end to end through the merged query.
 //!
 //! The coordinator applies the same discipline to *itself*: before every
-//! checkpoint barrier it appends a [`manifest::Manifest`] — spec, stream
-//! cut, per-shard endpoints and replay buffers — to its own chain
-//! (fsync-before-barrier), so a SIGKILLed coordinator resumes with
-//! [`coordinator::resume_job`] and finishes with a byte-identical final
-//! query. See `manifest.rs` for the crash-consistency argument.
+//! checkpoint barrier it appends a [`manifest::JobManifest`] — spec,
+//! stream cut, per-shard acked epochs and endpoints, checkpoint
+//! boundaries and the cursor — to its own chain (fsync-before-barrier), so
+//! a SIGKILLed coordinator resumes with [`coordinator::resume_job`] and
+//! finishes with a byte-identical final query. See `manifest.rs` for the
+//! crash-consistency argument.
 //!
 //! Jobs are described by a typed, codec-serializable [`JobSpec`] built
 //! with [`ServiceBuilder`]; the CLI in `main.rs` is a thin parser over it.

@@ -179,7 +179,8 @@ fn run() -> Result<(), String> {
         Some("reference") => {
             let flags = Flags::parse(&args[1..])?;
             let spec = build_spec(&flags, true)?;
-            println!("{}", coordinator::run_reference(&spec));
+            let report = coordinator::run_reference(&spec).map_err(|e| e.to_string())?;
+            println!("{report}");
             Ok(())
         }
         Some("query") => {

@@ -4,8 +4,8 @@
 //! Layout: for each frame, a `u64` little-endian byte length followed by
 //! the sealed frame bytes. [`CheckpointStore::commit`] makes a frame
 //! durable before the worker acks the checkpoint barrier — the ack is the
-//! coordinator's permission to drop its replay buffer, so durability must
-//! come first. A delta frame, or the first frame of a chain, is appended
+//! coordinator's permission to stop regenerating the chunks it covers, so
+//! durability must come first. A delta frame, or the first frame of a chain, is appended
 //! and `sync_data`ed; a full frame on a non-empty chain makes every frame
 //! before it unreachable, so it replaces the whole chain in one atomic
 //! write instead.
@@ -127,7 +127,8 @@ impl CheckpointStore {
 
     /// Reads every complete frame in the chain (empty if the file does not
     /// exist). A torn final record — crash mid-append — is dropped; it was
-    /// never acked, so the coordinator still holds the chunks it covered.
+    /// never acked, so the coordinator can still regenerate the chunks it
+    /// covered.
     pub fn load_frames(&self) -> io::Result<Vec<Vec<u8>>> {
         Ok(self.read_chain()?.0)
     }

@@ -20,8 +20,8 @@
 //! Crucially, each new connection starts from the **on-disk chain**, not
 //! from whatever in-memory state the previous connection accumulated —
 //! un-checkpointed work is deliberately discarded, because the replacement
-//! coordinator's replay buffers only cover chunks past the last durable
-//! checkpoint. Keeping the in-memory tail would double-count them.
+//! coordinator re-sends every chunk past the last durable checkpoint.
+//! Keeping the in-memory tail would double-count them.
 
 use std::io::{self, Write};
 

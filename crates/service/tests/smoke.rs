@@ -217,7 +217,7 @@ fn service_matches_single_process_reference_for_every_kind() {
         let dir = JobDir::fresh(&format!("ref-{}", kind.as_str()));
         let spec = base_spec(kind, dir.path(), false);
         let service = run_service(&spec, &[]);
-        let reference = run_reference(&spec);
+        let reference = run_reference(&spec).unwrap();
         assert_eq!(
             service,
             reference,
@@ -256,7 +256,7 @@ fn killed_worker_recovers_byte_identically_over_both_transports() {
         );
         assert_eq!(
             calm,
-            run_reference(&calm_spec),
+            run_reference(&calm_spec).unwrap(),
             "{label}: both drifted from reference"
         );
 
@@ -302,7 +302,7 @@ fn killed_turnstile_worker_recovers_byte_identically() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "turnstile service drifted from reference"
     );
 }
@@ -331,7 +331,7 @@ fn killed_coordinator_resumes_byte_identically_over_pipes() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "both drifted from reference"
     );
 }
@@ -364,7 +364,7 @@ fn killed_coordinator_resumes_byte_identically_over_tcp_mid_barrier() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "both drifted from reference"
     );
 }
@@ -430,7 +430,7 @@ fn mid_ingest_query_returns_consistent_cut_without_stopping_ingest() {
     // …and neither the barrier nor the off-path merge perturbed state.
     assert_eq!(
         fin,
-        run_reference(&spec),
+        run_reference(&spec).unwrap(),
         "final report after a mid-ingest query drifted from the reference"
     );
 }
@@ -521,7 +521,7 @@ fn stalled_query_clients_do_not_stall_ingest_on_either_transport() {
         );
         assert_eq!(
             fin,
-            run_reference(&spec),
+            run_reference(&spec).unwrap(),
             "{label}: final report drifted from the reference"
         );
         drop(silent);
@@ -620,7 +620,7 @@ fn concurrent_queries_mid_ingest_all_get_valid_cuts() {
     assert_eq!(fin.processed, spec.count as u64);
     assert_eq!(
         fin,
-        run_reference(&spec),
+        run_reference(&spec).unwrap(),
         "final report after concurrent queries drifted from the reference"
     );
 
@@ -643,5 +643,89 @@ fn concurrent_queries_mid_ingest_all_get_valid_cuts() {
         std::fs::write(Path::new(&root).join("query_latency.json"), json)
             .expect("latency artifact writes");
         eprintln!("smoke: wrote query_latency.json");
+    }
+}
+
+/// Replay by regeneration across every barrier kind: a TCP turnstile job
+/// publishes at each checkpoint barrier, serves a consistent query from a
+/// query barrier *between* two checkpoints, and then loses a worker. The
+/// replacement recovers the last checkpoint, and the coordinator
+/// regenerates, re-routes and re-sends the chunks since that checkpoint's
+/// boundary — the query epoch's chunks included. The mid-ingest answer
+/// equals the reference over the routed prefix, and the final report
+/// equals the reference over the whole stream.
+#[test]
+fn killed_turnstile_worker_after_mid_ingest_query_recovers_over_tcp() {
+    let dir = JobDir::fresh("turnstile-query-kill");
+    let spec = base_spec(SamplerKind::Turnstile, dir.path(), true);
+    // Checkpoints every 3 chunks: the epoch-4 checkpoint lands at chunk
+    // 12, the query barrier (epoch 5) at chunk 13, and shard 0 dies after
+    // chunk 14, so its replay spans chunks 12–13.
+    let (coordinator, stdout, addr) = spawn_query_coordinator(
+        &spec,
+        &[
+            "--await-query-after-chunks",
+            "13",
+            "--kill-shard",
+            "0",
+            "--kill-after-chunks",
+            "14",
+        ],
+    );
+    let query = Command::new(service_exe())
+        .arg("query")
+        .arg("--connect")
+        .arg(&addr)
+        .output()
+        .expect("query client runs");
+    assert!(
+        query.status.success(),
+        "query client failed: {}",
+        String::from_utf8_lossy(&query.stderr)
+    );
+    let mid = parse_report(&query.stdout);
+    let fin = finish_coordinator(coordinator, stdout);
+
+    let prefix = JobSpec {
+        count: 13_000,
+        ..spec.clone()
+    };
+    assert_eq!(
+        mid,
+        run_reference(&prefix).unwrap(),
+        "mid-ingest answer drifted from the reference over the routed prefix"
+    );
+    assert_eq!(
+        fin,
+        run_reference(&spec).unwrap(),
+        "recovery after a mid-ingest query drifted from the reference"
+    );
+}
+
+/// An empty universe is a typed usage error at every entry point that
+/// takes a spec — exit status 1 with a message, not a panic (101) in the
+/// workload generator.
+#[test]
+fn empty_universe_is_rejected_cleanly() {
+    let dir = JobDir::fresh("empty-universe");
+    for command in ["reference", "coordinator"] {
+        let output = Command::new(service_exe())
+            .arg(command)
+            .args([
+                "--workers",
+                "2",
+                "--sampler",
+                "turnstile",
+                "--universe",
+                "0",
+            ])
+            .args(["--seed", "1", "--count", "100", "--chunk", "10"])
+            .args(["--checkpoint-every", "2", "--checkpoint-dir"])
+            .arg(dir.path())
+            .output()
+            .expect("tps-service runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("universe"), "{command}: {stderr}");
     }
 }

@@ -147,11 +147,16 @@ pub mod tag {
     /// never written to disk, so it has no golden corpus entry; it reuses
     /// the sealed envelope purely for the header/checksum hardening.
     pub const WIRE_MESSAGE: u16 = 0x0060;
-    /// A coordinator job manifest (`tps-service`): the job spec plus the
-    /// coordinator's durable routing position and per-shard replay
-    /// buffers, appended to the coordinator's checkpoint chain before
-    /// every barrier so a killed coordinator resumes byte-exactly.
+    /// A coordinator job manifest in the pre-cursor layout (`tps-service`):
+    /// the job spec plus the routing position and per-shard replay
+    /// buffers of raw updates. The coordinator no longer writes it.
     pub const JOB_MANIFEST: u16 = 0x0061;
+    /// A coordinator job manifest in the cursor layout (`tps-service`):
+    /// the job spec, the routing position, per-shard acked epochs and
+    /// endpoints, the checkpoint boundaries since the oldest unacked
+    /// chunk, and the workload cursor at that chunk. O(shards) bytes plus
+    /// the cursor, independent of the stream length.
+    pub const JOB_CURSOR_MANIFEST: u16 = 0x0062;
 }
 
 /// Why a snapshot failed to decode. Every decode failure is one of these —

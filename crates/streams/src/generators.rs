@@ -18,6 +18,111 @@ pub fn uniform_stream<R: StreamRng>(rng: &mut R, n: u64, m: usize) -> Vec<Item> 
     (0..m).map(|_| rng.gen_range(n)).collect()
 }
 
+/// `2^53`: [`StreamRng::next_f64`] draws multiples of `2^-53`, so a uniform
+/// times this is the 53-bit integer it was made from.
+const F64_DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The inverse-CDF table of a Zipf(α) distribution over `[n]` (item `i` has
+/// probability ∝ `1/(i+1)^α`), with a guide table that makes a draw O(1)
+/// expected instead of a binary search.
+///
+/// A draw maps a uniform `u ∈ [0, 1)` to the target `u · total` and returns
+/// the CDF index the binary search over the cumulative weights would. The
+/// guide splits the 53 bits of `u` into `2^k` buckets by their top `k`
+/// bits; bucket `b` stores the first index whose cumulative weight reaches
+/// the smallest target of the bucket, and a draw scans forward from there
+/// to the first weight `≥ target`. Floating-point multiplication is
+/// monotone, so the scan never starts past the answer. An exact tie
+/// (`cdf[i] == target`) is resolved by the binary search itself, so the
+/// table returns the same index as the search on every input.
+#[derive(Debug, Clone)]
+pub struct ZipfTable {
+    cdf: Vec<f64>,
+    total: f64,
+    guide: Vec<usize>,
+    /// `53 - k`: a draw's 53 bits shifted right by this are its bucket.
+    shift: u32,
+}
+
+impl ZipfTable {
+    /// Builds the table in O(`n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `alpha < 0`.
+    pub fn new(n: u64, alpha: f64) -> Self {
+        assert!(n > 0, "universe must be non-empty");
+        assert!(alpha >= 0.0, "zipf exponent must be non-negative");
+        let mut cdf = Vec::with_capacity(n as usize);
+        let mut total = 0.0f64;
+        for i in 0..n {
+            total += 1.0 / ((i + 1) as f64).powf(alpha);
+            cdf.push(total);
+        }
+        // About four buckets per item, at most 2^16 so the guide stays in
+        // cache; the bucket walk is one pass over guide and CDF together.
+        let bits = (n.next_power_of_two().trailing_zeros() + 2).min(16);
+        let shift = 53 - bits;
+        let last = cdf.len() - 1;
+        let mut guide = Vec::with_capacity(1 << bits);
+        let mut idx = 0usize;
+        for bucket in 0..1u64 << bits {
+            let lowest = ((bucket << shift) as f64 / F64_DRAW_SCALE) * total;
+            while idx < last && cdf[idx] < lowest {
+                idx += 1;
+            }
+            guide.push(idx);
+        }
+        Self {
+            cdf,
+            total,
+            guide,
+            shift,
+        }
+    }
+
+    /// The universe size `n`.
+    pub fn universe(&self) -> u64 {
+        self.cdf.len() as u64
+    }
+
+    /// The item a uniform `u ∈ [0, 1)` maps to: exactly the index a binary
+    /// search of the cumulative weights for `u · total` yields (clamped to
+    /// `n - 1`).
+    #[inline]
+    pub fn index(&self, u: f64) -> Item {
+        let target = u * self.total;
+        let bucket = ((u * F64_DRAW_SCALE) as u64 >> self.shift) as usize;
+        let last = self.cdf.len() - 1;
+        let mut idx = self.guide[bucket.min(self.guide.len() - 1)];
+        while idx < last && self.cdf[idx] < target {
+            idx += 1;
+        }
+        if self.cdf[idx] == target {
+            // Among equal weights the search's own choice is the answer.
+            return self.search(target);
+        }
+        idx as Item
+    }
+
+    /// One draw from `rng`.
+    #[inline]
+    pub fn sample<R: StreamRng>(&self, rng: &mut R) -> Item {
+        self.index(rng.next_f64())
+    }
+
+    /// The binary search the guide table short-cuts.
+    fn search(&self, target: f64) -> Item {
+        match self
+            .cdf
+            .binary_search_by(|probe| probe.partial_cmp(&target).unwrap())
+        {
+            Ok(idx) => idx as Item,
+            Err(idx) => (idx as Item).min(self.universe() - 1),
+        }
+    }
+}
+
 /// Generates a stream of `m` updates drawn i.i.d. from a Zipf(α)
 /// distribution over `[n]` (item `i` has probability ∝ `1/(i+1)^α`).
 ///
@@ -25,25 +130,8 @@ pub fn uniform_stream<R: StreamRng>(rng: &mut R, n: u64, m: usize) -> Vec<Item> 
 /// workloads; they exercise the heavy-hitter-dominated regime in which the
 /// `L_p` samplers for `p > 1` concentrate on few items.
 pub fn zipfian_stream<R: StreamRng>(rng: &mut R, n: u64, m: usize, alpha: f64) -> Vec<Item> {
-    assert!(n > 0, "universe must be non-empty");
-    assert!(alpha >= 0.0, "zipf exponent must be non-negative");
-    // Build the CDF once; n is at most a few million in the experiments.
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut total = 0.0f64;
-    for i in 0..n {
-        total += 1.0 / ((i + 1) as f64).powf(alpha);
-        cdf.push(total);
-    }
-    (0..m)
-        .map(|_| {
-            let target = rng.next_f64() * total;
-            // Binary search the CDF.
-            match cdf.binary_search_by(|probe| probe.partial_cmp(&target).unwrap()) {
-                Ok(idx) => idx as u64,
-                Err(idx) => (idx as u64).min(n - 1),
-            }
-        })
-        .collect()
+    let table = ZipfTable::new(n, alpha);
+    (0..m).map(|_| table.sample(rng)).collect()
 }
 
 /// Generates a stream where `heavy_count` designated items receive
@@ -271,6 +359,45 @@ mod tests {
             v.get(0),
             v.get(100)
         );
+    }
+
+    /// The guide table returns the binary search's index for every draw:
+    /// random uniforms, the edge uniforms `0` and the largest `f64` below
+    /// 1, and every bucket's lowest uniform (the guide's own build
+    /// targets), across universes from 1 to `2^20` and exponents from flat
+    /// to so steep that the cumulative weights plateau.
+    #[test]
+    fn zipf_table_matches_the_binary_search() {
+        use tps_random::StreamRng;
+
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for n in [1u64, 2, 3, 4096, 1 << 20] {
+            for alpha in [0.0, 0.5, 1.2, 3.0] {
+                let mut cdf = Vec::new();
+                let mut total = 0.0f64;
+                for i in 0..n {
+                    total += 1.0 / ((i + 1) as f64).powf(alpha);
+                    cdf.push(total);
+                }
+                let reference = |u: f64| {
+                    let target = u * total;
+                    match cdf.binary_search_by(|probe| probe.partial_cmp(&target).unwrap()) {
+                        Ok(idx) => idx as u64,
+                        Err(idx) => (idx as u64).min(n - 1),
+                    }
+                };
+                let table = ZipfTable::new(n, alpha);
+                assert_eq!(table.universe(), n);
+                let mut rng = default_rng(n ^ alpha.to_bits());
+                let buckets = (4 * n.next_power_of_two()).min(1 << 12);
+                let edges = [0.0, below_one].into_iter();
+                let lowest = (0..buckets).map(|b| b as f64 / buckets as f64);
+                let random = (0..20_000).map(|_| rng.next_f64());
+                for u in edges.chain(lowest).chain(random) {
+                    assert_eq!(table.index(u), reference(u), "n={n} alpha={alpha} u={u}");
+                }
+            }
+        }
     }
 
     #[test]
