@@ -160,7 +160,8 @@ fn whole_stream<U: JobUpdate>(universe: u64, count: usize, seed: u64) -> Vec<U> 
 ///
 /// * the Xoshiro state of the item draws;
 /// * for a signed (turnstile) cursor, the Xoshiro state of the delete
-///   coins and every item's live count, dense over the universe;
+///   coins and every item's live count (dense over the universe in
+///   memory; encoded as a bitmap of the live items and their counts);
 /// * the number of chunks already yielded.
 ///
 /// So the coordinator keeps cursors instead of copies of the stream: a
@@ -259,8 +260,17 @@ impl JobCursor {
             Some(signs) => {
                 w.put_u8(1);
                 signs.coins.encode_into(w);
-                w.put_len(signs.live.len());
-                for &count in &signs.live {
+                // A bitmap of the items whose live count is nonzero, then
+                // those counts in item order: one bit per universe item
+                // plus 8 bytes per item still live.
+                w.put_len(signs.live.len().div_ceil(64));
+                for counts in signs.live.chunks(64) {
+                    let word = counts.iter().enumerate().fold(0u64, |word, (bit, &count)| {
+                        word | (u64::from(count != 0) << bit)
+                    });
+                    w.put_u64(word);
+                }
+                for &count in signs.live.iter().filter(|&&count| count != 0) {
                     w.put_i64(count);
                 }
             }
@@ -269,8 +279,9 @@ impl JobCursor {
 
     /// Reads a cursor written by [`Self::encode_into`] for `spec`'s stream.
     /// The state must fit the spec: its position inside the stream, signed
-    /// exactly for the turnstile kind, one non-negative live count per
-    /// universe item. `spec` must pass [`JobSpec::validate`].
+    /// exactly for the turnstile kind, a live bitmap spanning the universe
+    /// and a positive count for each item it marks. `spec` must pass
+    /// [`JobSpec::validate`].
     pub fn decode_from(r: &mut SnapshotReader<'_>, spec: &JobSpec) -> Result<Self, CodecError> {
         let chunks = r.get_u64()?;
         let items = Xoshiro256::decode_from(r)?;
@@ -278,21 +289,31 @@ impl JobCursor {
             0 => None,
             1 => {
                 let coins = Xoshiro256::decode_from(r)?;
-                let len = r.get_len(8)?;
-                if len as u64 != spec.universe {
+                let words = r.get_len(8)?;
+                if words as u64 != spec.universe.div_ceil(64) {
                     return Err(CodecError::InvalidValue {
-                        what: "cursor live counts do not span the universe",
+                        what: "cursor live bitmap does not span the universe",
                     });
                 }
-                let mut live = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let count = r.get_i64()?;
-                    if count < 0 {
-                        return Err(CodecError::InvalidValue {
-                            what: "cursor live count is negative",
-                        });
+                let bitmap = (0..words)
+                    .map(|_| r.get_u64())
+                    .collect::<Result<Vec<u64>, _>>()?;
+                let tail = spec.universe % 64;
+                if tail != 0 && bitmap[words - 1] >> tail != 0 {
+                    return Err(CodecError::InvalidValue {
+                        what: "cursor live bitmap marks items outside the universe",
+                    });
+                }
+                let mut live = vec![0; spec.universe as usize];
+                for (item, slot) in live.iter_mut().enumerate() {
+                    if bitmap[item / 64] >> (item % 64) & 1 == 1 {
+                        *slot = r.get_i64()?;
+                        if *slot <= 0 {
+                            return Err(CodecError::InvalidValue {
+                                what: "cursor live count is not positive",
+                            });
+                        }
                     }
-                    live.push(count);
                 }
                 Some(Signs { coins, live })
             }
@@ -818,21 +839,37 @@ mod tests {
 
     #[test]
     fn cursor_decode_checks_the_state_against_the_spec() {
+        // 60 items: the live bitmap is one word with four spare bits.
         let spec = ServiceBuilder::new(SamplerKind::Turnstile, 2)
-            .universe(64)
+            .universe(60)
             .count(1_000)
             .chunk(100)
             .build()
             .unwrap();
-        let mut w = SnapshotWriter::new();
-        JobCursor::for_spec(&spec).encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let decode = |spec: &JobSpec| {
-            let mut r = SnapshotReader::new(&bytes);
+        let encode = |cursor: &JobCursor| {
+            let mut w = SnapshotWriter::new();
+            cursor.encode_into(&mut w);
+            w.into_bytes()
+        };
+        let mut cursor = JobCursor::for_spec(&spec);
+        // A fresh cursor encodes an empty bitmap as its last word.
+        let bitmap_at = encode(&cursor).len() - 8;
+        let mut chunk: Vec<SignedUpdate> = Vec::new();
+        for _ in 0..3 {
+            assert!(cursor.next_chunk(&mut chunk));
+        }
+        let bytes = encode(&cursor);
+        let decode = |spec: &JobSpec, bytes: &[u8]| {
+            let mut r = SnapshotReader::new(bytes);
             JobCursor::decode_from(&mut r, spec).map(|c| c.chunks())
         };
-        assert_eq!(decode(&spec), Ok(0));
+        assert_eq!(decode(&spec, &bytes), Ok(3));
         for other in [
+            // Items drawn from 60 fall outside 8 items; 65 needs two words.
+            JobSpec {
+                universe: 8,
+                ..spec.clone()
+            },
             JobSpec {
                 universe: 65,
                 ..spec.clone()
@@ -843,20 +880,57 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                decode(&other),
+                decode(&other, &bytes),
                 Err(CodecError::InvalidValue { .. })
             ));
         }
-        // A position past the end of the stream, and a negative count.
+        // A position past the end of the stream, a negative or zero count
+        // (the counts end the encoding), and a bitmap bit past the
+        // universe all fail typed.
+        let end = bytes.len();
         let mut past = bytes.clone();
         past[..8].copy_from_slice(&11u64.to_le_bytes());
-        let mut r = SnapshotReader::new(&past);
-        assert!(JobCursor::decode_from(&mut r, &spec).is_err());
         let mut negative = bytes.clone();
-        let at = negative.len() - 8;
-        negative[at..].copy_from_slice(&(-1i64).to_le_bytes());
-        let mut r = SnapshotReader::new(&negative);
-        assert!(JobCursor::decode_from(&mut r, &spec).is_err());
+        negative[end - 8..].copy_from_slice(&(-1i64).to_le_bytes());
+        let mut zero = bytes.clone();
+        zero[end - 8..].copy_from_slice(&0i64.to_le_bytes());
+        let mut outside = bytes.clone();
+        outside[bitmap_at + 7] |= 0x80;
+        for broken in [past, negative, zero, outside] {
+            assert!(matches!(
+                decode(&spec, &broken),
+                Err(CodecError::InvalidValue { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn cursor_encoding_holds_a_bitmap_and_the_live_counts() {
+        let universe = 1 << 20;
+        let spec = ServiceBuilder::new(SamplerKind::Turnstile, 2)
+            .universe(universe)
+            .count(1_000)
+            .chunk(100)
+            .build()
+            .unwrap();
+        let encoded_len = |cursor: &JobCursor| {
+            let mut w = SnapshotWriter::new();
+            cursor.encode_into(&mut w);
+            w.into_bytes().len()
+        };
+        let mut cursor = JobCursor::for_spec(&spec);
+        let fresh = encoded_len(&cursor);
+        assert!(fresh <= 128 + universe as usize / 8, "fresh: {fresh} bytes");
+        let mut chunk: Vec<SignedUpdate> = Vec::new();
+        assert!(cursor.next_chunk(&mut chunk));
+        let mut live = std::collections::HashMap::new();
+        for update in &chunk {
+            *live.entry(update.item).or_insert(0i64) += update.delta;
+        }
+        let nonzero = live.values().filter(|&&count| count != 0).count();
+        assert!(nonzero > 0);
+        // 8 bytes per drawn item still live, nothing more per universe item.
+        assert_eq!(encoded_len(&cursor), fresh + 8 * nonzero);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::config::{
     job_signed_stream, job_stream, make_f0, make_g, make_l2, make_turnstile, FaultPlan, JobCursor,
     JobSpec, JobUpdate, QueryPlan, SamplerKind, TransportKind,
 };
-use crate::manifest::{JobManifest, ShardEntry};
+use crate::manifest::JobManifest;
 use crate::query::{PublishedCut, QueryPlane};
 use crate::store::CheckpointStore;
 
@@ -553,21 +553,16 @@ fn persist_manifest(
     workers: &[WorkerHandle],
     log: &ReplayLog,
 ) -> io::Result<()> {
-    let manifest = JobManifest {
-        spec: spec.clone(),
+    durability.persist(JobManifest::encode_parts(
+        spec,
         epoch,
         chunks_routed,
-        shards: workers
+        workers
             .iter()
-            .map(|worker| ShardEntry {
-                acked_epoch: worker.acked_epoch,
-                endpoint: worker.endpoint.clone(),
-            })
-            .collect(),
-        boundaries: log.boundaries.clone(),
-        cursor: log.cursor.clone(),
-    };
-    durability.persist(manifest.encode())
+            .map(|worker| (worker.acked_epoch, worker.endpoint.as_deref())),
+        &log.boundaries,
+        &log.cursor,
+    ))
 }
 
 /// The routed stream-prefix length at a chunk cut (the final chunk may
@@ -897,6 +892,7 @@ pub fn run_reference(spec: &JobSpec) -> io::Result<QueryReport> {
 mod tests {
     use super::*;
     use crate::config::ServiceBuilder;
+    use crate::manifest::ShardEntry;
 
     #[test]
     fn report_lines_round_trip() {
